@@ -19,6 +19,9 @@ import workloads
 # relative agreement demanded of independently recomputed floats
 REL_TOL = 1e-8
 WOLD_TOL = 1e-6
+# dimensions at which analyze's matrix norms are recomputed by SVD; the
+# larger ones cost as much as the workload itself and are bracketed instead
+RECHECK_DIMS = (8, 32, 128)
 
 
 class StrictJSONError(ValueError):
@@ -51,15 +54,83 @@ def _csv_rows(path: Path) -> list[list[str]]:
 
 
 def _read_json(out: Path, name: str, problems: list[str]):
+    """The parsed file, or None if missing or unparsable.
+
+    A file that breaks only RFC 8259 (bare ``Infinity`` or ``NaN``) is one
+    problem; its content is still parsed and checked, so further problems in
+    the same file show.
+    """
     path = out / name
     if not path.is_file():
         problems.append(f"{name} missing")
         return None
     try:
         return load_strict_json(path)
-    except (ValueError, UnicodeDecodeError) as exc:
+    except StrictJSONError as exc:
         problems.append(f"{name} is not strict JSON: {exc}")
+    except (ValueError, UnicodeDecodeError) as exc:
+        problems.append(f"{name} is not JSON: {exc}")
         return None
+    return json.loads(path.read_bytes().decode("utf-8"))
+
+
+def _lower_toeplitz(column: np.ndarray, dim: int) -> np.ndarray:
+    """``dim x dim`` lower-triangular Toeplitz matrix with ``column[i - j]`` at ``(i, j)``."""
+    col = np.zeros(dim, dtype=complex)
+    col[: min(dim, len(column))] = column[:dim]
+    lag = np.subtract.outer(np.arange(dim), np.arange(dim))
+    return np.where(lag >= 0, col[np.maximum(lag, 0)], 0)
+
+
+def _inverse_series(a: np.ndarray, length: int) -> np.ndarray:
+    """First ``length`` power-series coefficients of ``1 / f`` for causal ``f`` with ``a_0 != 0``."""
+    b = np.zeros(length, dtype=complex)
+    b[0] = 1.0 / a[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, length):
+            m = min(k, len(a) - 1)
+            b[k] = -np.dot(a[1 : m + 1], b[k - 1 :: -1][:m]) / a[0]
+    return b
+
+
+def _l2(x: np.ndarray) -> float:
+    """Euclidean norm without overflow in the squares."""
+    scale = float(np.abs(x).max())
+    return scale * float(np.linalg.norm(x / scale)) if 0 < scale < math.inf else scale
+
+
+def _check_norms(a: np.ndarray, isometry: list, asymmetry: list) -> list[str]:
+    """Compression and triangular-inverse norms against numpy alone.
+
+    At every N: each norm lies between the l2 and l1 norms of its Toeplitz
+    column (the inverse's column is the series of ``1/f``), both columns of
+    norms are nondecreasing in N (each matrix is the leading block of the
+    next), and ``cond_triangular`` is the product of the two norms.  At
+    ``RECHECK_DIMS`` the norms are recomputed by SVD of the Toeplitz matrices.
+    """
+    problems = []
+    norm = {row["N"]: row["norm"] for row in isometry}
+    norm_inv = {row["N"]: row["norm_triangular_inverse"] for row in asymmetry}
+    dims = sorted(norm)
+    b = _inverse_series(a, dims[-1])
+    for label, column, values in (("isometry", a, norm), ("triangular inverse", b, norm_inv)):
+        for lo, hi in zip(dims, dims[1:]):
+            if not values[hi] >= values[lo] * (1 - REL_TOL):
+                problems.append(f"{label} norm falls from {values[lo]} at N={lo} to {values[hi]} at N={hi}")
+        for n in dims:
+            head = column[:n]
+            low, high = _l2(head) * (1 - REL_TOL), float(np.abs(head).sum()) * (1 + REL_TOL)
+            if np.all(np.isfinite(head)) and not low <= values[n] <= high:
+                problems.append(f"{label} norm {values[n]} at N={n} outside its l2/l1 bracket")
+            if n in RECHECK_DIMS:
+                svd = float(np.linalg.svd(_lower_toeplitz(head, n), compute_uv=False)[0])
+                if not math.isclose(values[n], svd, rel_tol=REL_TOL):
+                    problems.append(f"{label} norm {values[n]} at N={n}, SVD gives {svd}")
+    for row in asymmetry:
+        n = row["N"]
+        if n in norm and not math.isclose(row["cond_triangular"], norm[n] * norm_inv[n], rel_tol=REL_TOL):
+            problems.append(f"asymmetry N={n}: cond_triangular {row['cond_triangular']} != norm * inverse norm")
+    return problems
 
 
 def check_analyze(op, out: Path) -> list[str]:
@@ -101,6 +172,14 @@ def check_analyze(op, out: Path) -> list[str]:
             problems.append(
                 f"asymmetry N={n}: circulant inverse norm {reported} != 1/min|fft(f)| {1.0 / spectrum_min}"
             )
+        else:
+            cond = float(np.abs(np.fft.fft(a, n)).max()) / spectrum_min
+            if not math.isclose(row["cond_circulant"], cond, rel_tol=REL_TOL):
+                problems.append(
+                    f"asymmetry N={n}: cond_circulant {row['cond_circulant']} != max/min|fft(f)| {cond}"
+                )
+    if [row.get("N") for row in isometry] == dims == [row.get("N") for row in asymmetry]:
+        problems += _check_norms(a, isometry, asymmetry)
     for name in ("isometry.csv", "asymmetry.csv"):
         path = out / name
         if not path.is_file():
@@ -130,6 +209,7 @@ def check_invert(op, out: Path) -> list[str]:
     doc = _read_json(out, "inverse.json", problems)
     if doc is None:
         return problems
+    parsed = len(problems)
     if doc.get("side") != expect["side"]:
         problems.append(f"side {doc.get('side')!r}, planted {expect['side']!r}")
     if not _symbol_document_matches(doc.get("source"), op.coeffs):
@@ -145,7 +225,7 @@ def check_invert(op, out: Path) -> list[str]:
     tail = doc.get("tail_bound")
     if doc.get("eps") != expect["eps"] or not (isinstance(tail, float) and tail <= expect["eps"]):
         problems.append(f"tail_bound {tail} does not certify eps {expect['eps']}")
-    if problems:
+    if len(problems) > parsed:
         return problems
     f = np.array(op.coeffs, dtype=complex)
     residual = _residual_l1(f, g, doc["offset"])

@@ -16,6 +16,7 @@ import cmath
 import json
 import math
 import random
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -224,12 +225,28 @@ def _simulate_ops(rng: random.Random) -> list[Op]:
 WORKLOADS = ("analyze_dense", "near_circle", "simulate_export")
 
 # Operations that fail their checks at the commit that introduced this
-# benchmark (ROADMAP item 4).  They stay in the workloads and are counted as
-# failures; listing them here only keeps them from marking a run incorrect.
+# benchmark (ROADMAP item 4), with the one failure each is known for.  They
+# stay in the workloads and are counted as failures; a failure keeps a run
+# correct only when every problem it has matches its pattern, so the same
+# operation failing in any other way still marks the run incorrect.
 KNOWN_DEFECTS = {
-    "analyze_dense/on_circle": "report.json holds bare Infinity for the singular circulant",
-    "analyze_dense/inside_third": "triangular inverse overflows at N=1024; exit 2 'SVD did not converge'",
+    "analyze_dense/on_circle": (
+        "report.json holds bare Infinity for the singular circulant",
+        r"report\.json is not strict JSON: non-RFC 8259 constant -?Infinity",
+    ),
+    "analyze_dense/inside_third": (
+        "triangular inverse overflows at N=1024; exit 2 'SVD did not converge'",
+        r"exit 2, planted 0 \(error: SVD did not converge\)",
+    ),
 }
+
+
+def is_known_defect(op_id: str, problems: list[str]) -> bool:
+    """True when every problem of the failed operation ``op_id`` is its known defect."""
+    if op_id not in KNOWN_DEFECTS or not problems:
+        return False
+    pattern = KNOWN_DEFECTS[op_id][1]
+    return all(re.fullmatch(pattern, p) for p in problems)
 
 
 def build(workload: str, seed: int, inputs: Path) -> list[Op]:
