@@ -33,9 +33,7 @@ from .operators import (
     SzegoVector,
     TruncatedOperator,
     build_bilateral,
-    build_toeplitz,
     build_unilateral,
-    dump_matrix,
     isometry_sweep,
     operator_norm,
     rayleigh_quotient,
@@ -89,9 +87,7 @@ __all__ = [
     "SzegoVector",
     "TruncatedOperator",
     "build_bilateral",
-    "build_toeplitz",
     "build_unilateral",
-    "dump_matrix",
     "isometry_sweep",
     "operator_norm",
     "rayleigh_quotient",

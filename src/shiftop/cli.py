@@ -174,11 +174,15 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         classification = invertibility.classify_roots(f, config.tol)
         l1 = wiener.l1_norm(f)
         sup = wiener.sup_norm(f, config.grid_size)
-        sweep = operators.isometry_sweep(f, config.dims, config.grid_size)
         asym = invertibility.asymmetry_report(f, config.dims)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
+    # the isometry sweep's norms are the asymmetry rows' ||T_N(f)||
+    sweep = [
+        operators.IsometryRow(r.dim, r.norm_triangular, sup - r.norm_triangular)
+        for r in asym
+    ]
     report = {
         "symbol": wiener.to_json_dict(f),
         "l1_norm": l1,

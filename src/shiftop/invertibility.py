@@ -277,33 +277,38 @@ class AsymmetryRow:
     cond_circulant: float
     cond_triangular: float
     circulant_singular: bool
+    norm_triangular: float
 
 
 def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     """Inverse norms and condition numbers, circulant vs triangular truncation.
 
-    The circulant side is inverted through its spectrum (the symbol's values
-    at the roots of unity; a normal matrix's inverse norm is one over its
-    smallest eigenvalue modulus).  The triangular side is inverted by exact
-    back-substitution, which exposes geometric blow-up such as the
-    ``2**(N-1)`` growth of ``(1 - 2z)**-1`` without contamination from a
-    generic inversion routine.  A singular circulant (symbol vanishing at a
-    root of unity) is reported with infinite norms, not raised.
+    ``dims`` must be strictly increasing.  The circulant side is inverted
+    through its spectrum (the symbol's values at the roots of unity; a normal
+    matrix's inverse norm is one over its smallest eigenvalue modulus).  The
+    triangular side needs no solve: a lower-triangular Toeplitz matrix's
+    inverse is the Toeplitz matrix of the power-series inverse, so
+    ``T_N(f)**-1 = T_N(g)`` with ``g`` the first ``N`` coefficients of
+    ``1/f``.  The recursion for ``g`` is exact up to rounding and exposes
+    geometric blow-up such as the ``2**(N-1)`` growth of ``(1 - 2z)**-1``.
+    Each row also carries ``norm_triangular = ||T_N(f)||``, the compression
+    norm an isometry sweep tabulates.  A singular circulant (symbol vanishing
+    at a root of unity) is reported with infinite norms, not raised.
     """
-    from scipy.linalg import solve_triangular
-
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
     if f.is_zero:
         raise ValueError("asymmetry report needs a nonzero symbol")
+    dims = [int(d) for d in dims]
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("dims must be strictly increasing")
+    if dims and dims[0] < f.support_length:
+        raise ValueError(
+            f"dim {dims[0]} is smaller than the support length {f.support_length}"
+        )
     rows = []
     a0 = f.coeff(0)
     for dim in dims:
-        dim = int(dim)
-        if dim < f.support_length:
-            raise ValueError(
-                f"dim {dim} is smaller than the support length {f.support_length}"
-            )
         spectrum = np.abs(wiener.evaluate_on_grid(f, dim))
         smallest = float(spectrum.min())
         largest = float(spectrum.max())
@@ -314,19 +319,24 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         else:
             norm_circ_inv = 1.0 / smallest
             cond_circ = largest / smallest
-        tri = operators.build_unilateral(f, dim)
-        norm_tri = operators.operator_norm(tri)
+        # no matrix outlives its norm, so one N x N matrix is alive at a time
+        norm_tri = operators.operator_norm(operators.build_unilateral(f, dim))
         if a0 == 0:
             norm_tri_inv = float("inf")
             cond_tri = float("inf")
         else:
-            inverse = solve_triangular(
-                tri.matrix, np.eye(dim, dtype=complex), lower=True
+            # a root inside the circle can overflow g to inf/nan; the norm
+            # below then reads inf or raises LinAlgError
+            with np.errstate(over="ignore", invalid="ignore"):
+                g = _series_inverse_prefix(f.to_array(), dim)
+            norm_tri_inv = operators.operator_norm(
+                operators.build_unilateral(WienerElement(tuple(g)), dim)
             )
-            norm_tri_inv = operators.operator_norm(inverse)
             cond_tri = norm_tri * norm_tri_inv
         rows.append(
-            AsymmetryRow(dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular)
+            AsymmetryRow(
+                dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular, norm_tri
+            )
         )
     return rows
 

@@ -10,9 +10,9 @@ Two families of matrices realize a symbol ``f``:
   circulant matrix whose eigenvalues are the symbol's values at the N-th
   roots of unity.
 
-``build_toeplitz`` constructs the same matrix as ``build_unilateral``
-through a deliberately independent route (projected multiplication,
-column by column) so the two can be compared entrywise.
+``operator_norm`` lets that structure answer where it can: a circulant's
+norm is read off its spectrum, and only a triangular (or plain) matrix goes
+through a dense SVD.
 """
 
 from __future__ import annotations
@@ -32,16 +32,11 @@ __all__ = [
     "IsometryRow",
     "build_unilateral",
     "build_bilateral",
-    "build_toeplitz",
     "operator_norm",
     "rayleigh_quotient",
     "isometry_sweep",
     "isometry_csv",
-    "dump_matrix",
 ]
-
-# Largest dimension handled by dense SVD; larger matrices go through ARPACK.
-DENSE_SVD_MAX_DIM = 1024
 
 # Szego vectors are only defined strictly inside the circle.
 MAX_SZEGO_MODULUS = 1.0 - 1e-6
@@ -110,8 +105,9 @@ def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
 
     ``S`` is the ``dim x dim`` matrix with ones on the first subdiagonal
     (``S e_j = e_{j+1}``, last basis vector annihilated), so ``S**n`` has ones
-    on the n-th subdiagonal and the sum lands each coefficient on its own
-    diagonal exactly.  Requires a causal symbol.
+    on the n-th subdiagonal and each coefficient lands on its own diagonal:
+    entry ``(i, j)`` is ``a_{i-j}``, zero above the diagonal and for indices
+    at or past ``dim``.  Requires a causal symbol.
     """
     dim = int(dim)
     if dim < 1:
@@ -121,34 +117,12 @@ def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
             "unilateral compression needs a causal symbol (offset >= 0); "
             f"got offset {f.offset}"
         )
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for k, c in enumerate(f.coeffs):
-        n = f.offset + k
-        if n < dim:
-            matrix += c * np.eye(dim, k=-n, dtype=complex)
-    return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
-
-
-def build_toeplitz(f: WienerElement, dim: int) -> TruncatedOperator:
-    """Toeplitz matrix of ``f`` by projected multiplication, column by column.
-
-    Column ``j`` is the coefficient sequence of ``f(z) * z**j`` with negative
-    indices projected away, truncated to indices ``0 .. dim-1``.  Independent
-    of :func:`build_unilateral`; for causal symbols the two agree entrywise.
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if not f.is_causal:
-        raise ValueError(
-            "Toeplitz construction needs a causal symbol (offset >= 0); "
-            f"got offset {f.offset}"
-        )
-    matrix = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        shifted = wiener.multiply(f, wiener.monomial(j))
-        for i in range(dim):
-            matrix[i, j] = shifted.coeff(i)
+    # padded[dim - 1 + n] = a_n, with zeros at every negative n
+    padded = np.zeros(2 * dim - 1, dtype=complex)
+    coeffs = f.to_array()[: max(dim - f.offset, 0)]
+    padded[dim - 1 + f.offset : dim - 1 + f.offset + len(coeffs)] = coeffs
+    i = np.arange(dim)
+    matrix = padded[dim - 1 + i[:, None] - i[None, :]]
     return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
 
 
@@ -175,46 +149,23 @@ def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
     return TruncatedOperator(matrix, OperatorKind.BILATERAL_CIRCULANT, f, dim)
 
 
-def _largest_singular_value_arpack(matrix: np.ndarray) -> float:
-    from scipy.sparse.linalg import ArpackNoConvergence, svds
-
-    n = min(matrix.shape)
-    # A fixed but generic start vector keeps reruns deterministic without
-    # landing on an invariant subspace (for a circulant, the all-ones vector
-    # is an eigenvector and would trap the iteration at the wrong value).
-    gen = np.random.Generator(np.random.Philox(0x5EED))
-    v0 = gen.standard_normal(n) + 1j * gen.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    try:
-        vals = svds(
-            matrix,
-            k=1,
-            which="LM",
-            tol=1e-10,
-            v0=v0,
-            ncv=min(n - 1, 64),
-            return_singular_vectors=False,
-        )
-        return float(vals[0])
-    except ArpackNoConvergence:
-        # nearly degenerate leading singular values can stall the restarts;
-        # fall back to the dense answer rather than report garbage
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-
-
 def operator_norm(operator) -> float:
-    """Largest singular value, accurate to about 1e-8 relative.
+    """Largest singular value of a square matrix.
 
-    Dense SVD up to ``DENSE_SVD_MAX_DIM``; Lanczos-style iteration (ARPACK)
-    with a fixed start vector beyond that.  Accepts a
-    :class:`TruncatedOperator` or a plain square array.
+    A circulant :class:`TruncatedOperator` is normal, so its norm is
+    ``max_k |f(omega**k)|`` over the ``dim``-th roots of unity, read from
+    :func:`wiener.evaluate_on_grid` without forming a decomposition.  A
+    unilateral operator or a plain square array goes through a dense SVD.
     """
-    matrix = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator, dtype=complex)
+    if isinstance(operator, TruncatedOperator):
+        if operator.kind is OperatorKind.BILATERAL_CIRCULANT:
+            return float(np.max(np.abs(wiener.evaluate_on_grid(operator.source, operator.dim))))
+        matrix = operator.matrix
+    else:
+        matrix = np.asarray(operator, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator must be a square matrix")
-    if matrix.shape[0] <= DENSE_SVD_MAX_DIM:
-        return float(np.linalg.svd(matrix, compute_uv=False)[0])
-    return _largest_singular_value_arpack(matrix)
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
 def rayleigh_quotient(f: WienerElement, w: SzegoVector) -> complex:
@@ -257,12 +208,4 @@ def isometry_csv(rows) -> str:
     lines = ["N,norm,gap"]
     for r in rows:
         lines.append(f"{r.dim},{r.norm:.17g},{r.gap:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def dump_matrix(operator: TruncatedOperator) -> str:
-    """Dense text dump: header ``"N kind"`` then N rows of ``re,im`` pairs."""
-    lines = [f"{operator.dim} {operator.kind.value}"]
-    for row in operator.matrix:
-        lines.append(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
     return "\n".join(lines) + "\n"

@@ -1,0 +1,45 @@
+"""Independent reference constructions used only by the tests.
+
+``build_toeplitz`` builds the same matrix as
+:func:`shiftop.operators.build_unilateral` through a deliberately different
+route (projected multiplication, column by column), so the two can be
+compared entrywise.  ``dump_matrix`` writes a dense text dump for exact
+round-trip comparisons.
+"""
+
+import numpy as np
+
+from shiftop import wiener
+from shiftop.operators import OperatorKind, TruncatedOperator
+from shiftop.wiener import WienerElement
+
+
+def build_toeplitz(f: WienerElement, dim: int) -> TruncatedOperator:
+    """Toeplitz matrix of ``f`` by projected multiplication, column by column.
+
+    Column ``j`` is the coefficient sequence of ``f(z) * z**j`` with negative
+    indices projected away, truncated to indices ``0 .. dim-1``.  For causal
+    symbols it agrees with ``build_unilateral`` entrywise.
+    """
+    dim = int(dim)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if not f.is_causal:
+        raise ValueError(
+            "Toeplitz construction needs a causal symbol (offset >= 0); "
+            f"got offset {f.offset}"
+        )
+    matrix = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        shifted = wiener.multiply(f, wiener.monomial(j))
+        for i in range(dim):
+            matrix[i, j] = shifted.coeff(i)
+    return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
+
+
+def dump_matrix(operator: TruncatedOperator) -> str:
+    """Dense text dump: header ``"N kind"`` then N rows of ``re,im`` pairs."""
+    lines = [f"{operator.dim} {operator.kind.value}"]
+    for row in operator.matrix:
+        lines.append(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftop import wiener
+from shiftop import operators, wiener
 from shiftop.cli import main
 from shiftop.wiener import WienerElement
 
@@ -64,6 +64,35 @@ def test_analyze_borderline_has_no_inverse_block(runner, tmp_path):
     block = read_json(out / "report.json")["inversion"]
     assert block["available"] is False
     assert "Borderline" in block["reason"]
+
+
+def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
+    # ||T_N(f)|| serves both the isometry and the asymmetry table, so each N
+    # costs one norm of T_N(f) and one of its inverse
+    calls = []
+    norm = operators.operator_norm
+
+    def counting_norm(operator):
+        calls.append(operator)
+        return norm(operator)
+
+    monkeypatch.setattr(operators, "operator_norm", counting_norm)
+    dims = (4, 16, 64)
+    result = runner.invoke(
+        main,
+        ["analyze", "--coeffs", "1,-0.5", "--dims", ",".join(map(str, dims)),
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 2 * len(dims)
+
+
+def test_analyze_rejects_unordered_dims(runner, tmp_path):
+    result = runner.invoke(
+        main, ["analyze", "--coeffs", "1,-2", "--dims", "8,4", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "dims must be strictly increasing" in result.output
 
 
 def test_analyze_honors_dims(runner, tmp_path):

@@ -319,6 +319,41 @@ def test_asymmetry_invertible_symbol_stays_tame():
         assert_allclose(row.cond_circulant, 3.0, rtol=1e-12)
 
 
+SERIES_ROUTE_SYMBOLS = [
+    from_roots([1.5, -2.0, 3.0 + 1j]),  # all roots outside
+    from_roots([0.5]),  # the window symbol 1 - 2z
+    from_roots([0.8 * np.exp(1j), 0.9j, -0.7]),  # all roots inside
+    from_roots([0.6, -1.7, 2.5j]),  # straddling the circle
+    WienerElement((1 + 0.5j, -0.3 + 0.8j, 0.2 - 0.1j, 0.05j)),  # complex coefficients
+    WienerElement((2 - 1j, 1 + 1j, -0.75)),
+]
+
+
+@pytest.mark.parametrize("f", SERIES_ROUTE_SYMBOLS)
+def test_asymmetry_series_inverse_matches_triangular_solve(f):
+    # T_N(f)**-1 built from the power-series inverse against the dense solve
+    for n in (8, 64, 300):
+        row = asymmetry_report(f, dims=(n,))[0]
+        tri = operators.build_unilateral(f, n).matrix
+        oracle = solve_triangular(tri, np.eye(n, dtype=complex), lower=True)
+        g = inv._series_inverse_prefix(f.to_array(), n)
+        series = operators.build_unilateral(WienerElement(tuple(g)), n).matrix
+        scale = np.abs(oracle).max()
+        assert np.max(np.abs(series - oracle)) <= 1e-12 * scale
+        assert_allclose(
+            row.norm_triangular_inverse, operators.operator_norm(oracle), rtol=1e-12
+        )
+        assert row.norm_triangular == operators.operator_norm(tri)
+        assert row.cond_triangular == row.norm_triangular * row.norm_triangular_inverse
+
+
+def test_asymmetry_requires_increasing_dims():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        asymmetry_report(WienerElement((1, -2)), dims=(16, 8))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        asymmetry_report(WienerElement((1, -2)), dims=(8, 8))
+
+
 def test_asymmetry_input_validation():
     with pytest.raises(ValueError):
         asymmetry_report(ZERO, dims=(4,))

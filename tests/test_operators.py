@@ -7,13 +7,14 @@ from shiftop.operators import (
     OperatorKind,
     SzegoVector,
     build_bilateral,
-    build_toeplitz,
     build_unilateral,
     isometry_sweep,
     operator_norm,
     rayleigh_quotient,
 )
 from shiftop.wiener import ONE, WienerElement
+
+from oracles import build_toeplitz, dump_matrix
 
 
 def random_causal(rng, max_len=8, max_offset=2):
@@ -61,11 +62,20 @@ def test_matrices_are_read_only():
 
 
 def test_toeplitz_route_agrees_exactly():
-    # same matrix from shift powers and from column-by-column convolution
+    # same matrix from the diagonal gather and from column-by-column
+    # convolution; the fixed cases pin offsets and supports reaching past N
+    fixed = [
+        (WienerElement((1, -2 + 0.5j, 3j)), 1),
+        (WienerElement((1, -2 + 0.5j, 3j)), 2),
+        (WienerElement((0.5, 2j, -1, 4)), 3),
+        (WienerElement((0.5, 2j, -1, 4), offset=2), 3),
+        (WienerElement((0.5, 2j, -1, 4), offset=3), 3),
+        (WienerElement((0.5, 2j, -1, 4), offset=7), 3),
+        (WienerElement(tuple(np.arange(1, 12) * (1 - 1j)), offset=4), 9),
+    ]
     rng = np.random.default_rng(21)
-    for _ in range(50):
-        f = random_causal(rng)
-        n = int(rng.integers(1, 40))
+    random_cases = [(random_causal(rng), int(rng.integers(1, 40))) for _ in range(50)]
+    for f, n in fixed + random_cases:
         a = build_unilateral(f, n)
         b = build_toeplitz(f, n)
         assert np.array_equal(a.matrix, b.matrix)
@@ -134,13 +144,22 @@ def test_norm_accepts_plain_arrays():
 
 
 def test_norm_iterative_path_matches_circulant_spectrum():
-    # above the dense cutoff the norm comes from ARPACK; circulant matrices
-    # have a closed-form answer to compare against
+    # a circulant's norm comes from its spectrum, with no decomposition, at
+    # any size
     f = WienerElement((1, -0.5, 0.25j))
-    n = operators.DENSE_SVD_MAX_DIM + 16
+    n = 1040
     op = build_bilateral(f, n)
     exact = float(np.max(np.abs(wiener.evaluate_on_grid(f, n))))
     assert_allclose(operator_norm(op), exact, rtol=1e-8)
+
+
+def test_circulant_norm_from_spectrum_matches_dense_svd():
+    rng = np.random.default_rng(28)
+    for _ in range(25):
+        f = random_two_sided(rng)
+        op = build_bilateral(f, int(rng.integers(max(f.support_length, 1), 64)))
+        dense = np.linalg.svd(op.matrix, compute_uv=False)[0]
+        assert_allclose(operator_norm(op), dense, rtol=1e-12, atol=1e-14)
 
 
 def test_norm_bounded_by_l1():
@@ -275,7 +294,7 @@ def test_isometry_csv_layout():
 
 def test_dump_matrix_round_trips_entries():
     op = build_unilateral(WienerElement((1, -2 + 0.5j)), 2)
-    text = operators.dump_matrix(op)
+    text = dump_matrix(op)
     lines = text.strip().splitlines()
     assert lines[0] == "2 unilateral"
     cells = [line.split() for line in lines[1:]]
