@@ -171,18 +171,16 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     """Root classification, norms, isometry sweep, and asymmetry report."""
     f = config.coeffs
     try:
+        dims = operators.isometry_dims(config.dims)
         classification = invertibility.classify_roots(f, config.tol)
         l1 = wiener.l1_norm(f)
         sup = wiener.sup_norm(f, config.grid_size)
-        asym = invertibility.asymmetry_report(f, config.dims)
+        asym = invertibility.asymmetry_report(f, dims)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
     # the isometry sweep's norms are the asymmetry rows' ||T_N(f)||
-    sweep = [
-        operators.IsometryRow(r.dim, r.norm_triangular, sup - r.norm_triangular)
-        for r in asym
-    ]
+    sweep = operators.isometry_rows(dims, [r.norm_triangular for r in asym], sup)
     report = {
         "symbol": wiener.to_json_dict(f),
         "l1_norm": l1,

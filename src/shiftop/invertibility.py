@@ -283,10 +283,9 @@ class AsymmetryRow:
 def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     """Inverse norms and condition numbers, circulant vs triangular truncation.
 
-    ``dims`` must be strictly increasing.  The circulant side is inverted
-    through its spectrum (the symbol's values at the roots of unity; a normal
-    matrix's inverse norm is one over its smallest eigenvalue modulus).  The
-    triangular side needs no solve: a lower-triangular Toeplitz matrix's
+    The circulant side is inverted through its spectrum (the symbol's values
+    at the roots of unity; a normal matrix's inverse norm is one over its
+    smallest eigenvalue modulus).  The triangular side needs no solve: a lower-triangular Toeplitz matrix's
     inverse is the Toeplitz matrix of the power-series inverse, so
     ``T_N(f)**-1 = T_N(g)`` with ``g`` the first ``N`` coefficients of
     ``1/f``.  The recursion for ``g`` is exact up to rounding and exposes
@@ -299,16 +298,14 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
     if f.is_zero:
         raise ValueError("asymmetry report needs a nonzero symbol")
-    dims = [int(d) for d in dims]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
-    if dims and dims[0] < f.support_length:
-        raise ValueError(
-            f"dim {dims[0]} is smaller than the support length {f.support_length}"
-        )
     rows = []
     a0 = f.coeff(0)
     for dim in dims:
+        dim = int(dim)
+        if dim < f.support_length:
+            raise ValueError(
+                f"dim {dim} is smaller than the support length {f.support_length}"
+            )
         spectrum = np.abs(wiener.evaluate_on_grid(f, dim))
         smallest = float(spectrum.min())
         largest = float(spectrum.max())

@@ -10,9 +10,7 @@ Two families of matrices realize a symbol ``f``:
   circulant matrix whose eigenvalues are the symbol's values at the N-th
   roots of unity.
 
-``operator_norm`` lets that structure answer where it can: a circulant's
-norm is read off its spectrum, and only a triangular (or plain) matrix goes
-through a dense SVD.
+``operator_norm`` takes one dense SVD of whatever matrix it is given.
 """
 
 from __future__ import annotations
@@ -34,6 +32,8 @@ __all__ = [
     "build_bilateral",
     "operator_norm",
     "rayleigh_quotient",
+    "isometry_dims",
+    "isometry_rows",
     "isometry_sweep",
     "isometry_csv",
 ]
@@ -150,19 +150,12 @@ def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
 
 
 def operator_norm(operator) -> float:
-    """Largest singular value of a square matrix.
+    """Largest singular value of a square matrix, from a dense SVD.
 
-    A circulant :class:`TruncatedOperator` is normal, so its norm is
-    ``max_k |f(omega**k)|`` over the ``dim``-th roots of unity, read from
-    :func:`wiener.evaluate_on_grid` without forming a decomposition.  A
-    unilateral operator or a plain square array goes through a dense SVD.
+    Accepts a :class:`TruncatedOperator` of either kind or a plain square
+    array.
     """
-    if isinstance(operator, TruncatedOperator):
-        if operator.kind is OperatorKind.BILATERAL_CIRCULANT:
-            return float(np.max(np.abs(wiener.evaluate_on_grid(operator.source, operator.dim))))
-        matrix = operator.matrix
-    else:
-        matrix = np.asarray(operator, dtype=complex)
+    matrix = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator must be a square matrix")
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
@@ -186,6 +179,25 @@ class IsometryRow:
     gap: float
 
 
+def isometry_dims(dims) -> list[int]:
+    """The dimensions of an isometry table: each at least 1, strictly increasing."""
+    dims = [int(d) for d in dims]
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        raise ValueError("dims must be strictly increasing")
+    if dims and dims[0] < 1:
+        raise ValueError("dim must be at least 1")
+    return dims
+
+
+def isometry_rows(dims, norms, sup: float) -> list[IsometryRow]:
+    """Rows ``(N, ||f(T_N)||, sup - ||f(T_N)||)`` from compression norms
+    already computed, one per dimension in ``dims``."""
+    return [
+        IsometryRow(dim, nrm, sup - nrm)
+        for dim, nrm in zip(isometry_dims(dims), norms, strict=True)
+    ]
+
+
 def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[IsometryRow]:
     """Compression norms against the grid sup norm over increasing dimensions.
 
@@ -193,15 +205,10 @@ def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[Iso
     nondecreasing (each truncation is a compression of the next) and the gap
     column nonincreasing, up to float noise of order 1e-14 near zero.
     """
-    dims = [int(d) for d in dims]
-    if any(b <= a for a, b in zip(dims, dims[1:])):
-        raise ValueError("dims must be strictly increasing")
+    dims = isometry_dims(dims)
     sup = wiener.sup_norm(f, grid_size)
-    rows = []
-    for dim in dims:
-        nrm = operator_norm(build_unilateral(f, dim))
-        rows.append(IsometryRow(dim, nrm, sup - nrm))
-    return rows
+    norms = [operator_norm(build_unilateral(f, dim)) for dim in dims]
+    return isometry_rows(dims, norms, sup)
 
 
 def isometry_csv(rows) -> str:

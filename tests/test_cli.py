@@ -107,6 +107,27 @@ def test_analyze_honors_dims(runner, tmp_path):
     assert [row["N"] for row in report["asymmetry"]] == [4, 8]
 
 
+def test_analyze_isometry_matches_sweep(runner, tmp_path):
+    # analyze reuses the asymmetry rows' ||T_N(f)||; the public sweep, which
+    # takes its own SVDs, is the reference for both outputs
+    f = WienerElement((1, -2 + 0.5j, 0.3))
+    dims = (4, 16, 64, 256)
+    grid = 4096
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(wiener.to_json_dict(f)))
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["analyze", "--coeffs-file", str(path), "--dims", ",".join(map(str, dims)),
+         "--grid", str(grid), "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    sweep = operators.isometry_sweep(f, dims, grid)
+    report = read_json(out / "report.json")
+    assert report["isometry"] == [{"N": r.dim, "norm": r.norm, "gap": r.gap} for r in sweep]
+    assert (out / "isometry.csv").read_text() == operators.isometry_csv(sweep)
+
+
 def test_analyze_input_errors(runner, tmp_path):
     result = runner.invoke(main, ["analyze"])
     assert result.exit_code == 2

@@ -347,13 +347,6 @@ def test_asymmetry_series_inverse_matches_triangular_solve(f):
         assert row.cond_triangular == row.norm_triangular * row.norm_triangular_inverse
 
 
-def test_asymmetry_requires_increasing_dims():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        asymmetry_report(WienerElement((1, -2)), dims=(16, 8))
-    with pytest.raises(ValueError, match="strictly increasing"):
-        asymmetry_report(WienerElement((1, -2)), dims=(8, 8))
-
-
 def test_asymmetry_input_validation():
     with pytest.raises(ValueError):
         asymmetry_report(ZERO, dims=(4,))

@@ -8,6 +8,8 @@ from shiftop.operators import (
     SzegoVector,
     build_bilateral,
     build_unilateral,
+    isometry_dims,
+    isometry_rows,
     isometry_sweep,
     operator_norm,
     rayleigh_quotient,
@@ -144,8 +146,8 @@ def test_norm_accepts_plain_arrays():
 
 
 def test_norm_iterative_path_matches_circulant_spectrum():
-    # a circulant's norm comes from its spectrum, with no decomposition, at
-    # any size
+    # every matrix, at any size, goes through the dense SVD; a circulant's
+    # norm has a closed form in its spectrum to compare against
     f = WienerElement((1, -0.5, 0.25j))
     n = 1040
     op = build_bilateral(f, n)
@@ -153,13 +155,13 @@ def test_norm_iterative_path_matches_circulant_spectrum():
     assert_allclose(operator_norm(op), exact, rtol=1e-8)
 
 
-def test_circulant_norm_from_spectrum_matches_dense_svd():
+def test_circulant_norm_matches_spectrum():
     rng = np.random.default_rng(28)
     for _ in range(25):
         f = random_two_sided(rng)
-        op = build_bilateral(f, int(rng.integers(max(f.support_length, 1), 64)))
-        dense = np.linalg.svd(op.matrix, compute_uv=False)[0]
-        assert_allclose(operator_norm(op), dense, rtol=1e-12, atol=1e-14)
+        n = int(rng.integers(max(f.support_length, 1), 64))
+        exact = np.max(np.abs(wiener.evaluate_on_grid(f, n)))
+        assert_allclose(operator_norm(build_bilateral(f, n)), exact, rtol=1e-12, atol=1e-14)
 
 
 def test_norm_bounded_by_l1():
@@ -271,6 +273,27 @@ def test_isometry_sweep_window_example():
         assert b <= a + 1e-10
     assert all(g >= -1e-10 for g in gaps)
     assert gaps[-1] < 0.05
+
+
+def test_isometry_rows_match_sweep():
+    f = WienerElement((1, -2))
+    dims = (4, 16, 64)
+    sup = wiener.sup_norm(f, 1 << 16)
+    norms = [operator_norm(build_unilateral(f, n)) for n in dims]
+    assert isometry_rows(dims, norms, sup) == isometry_sweep(f, dims)
+    with pytest.raises(ValueError):
+        isometry_rows(dims, norms[:2], sup)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        isometry_rows((16, 4), norms[:2], sup)
+
+
+def test_isometry_dims_validation():
+    assert isometry_dims((1, 4.0, 9)) == [1, 4, 9]
+    assert isometry_dims(()) == []
+    with pytest.raises(ValueError, match="at least 1"):
+        isometry_dims((0, 4))
+    with pytest.raises(ValueError, match="strictly increasing"):
+        isometry_dims((4, 0))
 
 
 def test_isometry_sweep_requires_increasing_dims():
