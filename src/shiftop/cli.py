@@ -320,9 +320,7 @@ def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
             table_name = "reconstruction.csv"
             table_text = process.reconstruction_csv(report)
         elif classification.inside > 0 and classification.on_circle == 0 and max_lag >= 1:
-            rows = process.divergence_demo(
-                f, max_lag, config.seed, config.sigma, config.t_len
-            )
+            rows = process._divergence_ladder(sample, max_lag)
             table_name = "divergence.csv"
             table_text = process.divergence_csv(rows)
     except (ValueError, TailNotCertifiedError) as exc:

@@ -4,13 +4,16 @@
 :func:`shiftop.operators.build_unilateral` through a deliberately different
 route (projected multiplication, column by column), so the two can be
 compared entrywise.  ``dump_matrix`` writes a dense text dump for exact
-round-trip comparisons.
+round-trip comparisons.  ``sample_csv_oracle`` writes ``sample.csv`` one
+f-string per row, the reference for the block encoder in
+:func:`shiftop.process.sample_to_csv`.
 """
 
 import numpy as np
 
 from shiftop import wiener
 from shiftop.operators import OperatorKind, TruncatedOperator
+from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
 
 
@@ -42,4 +45,13 @@ def dump_matrix(operator: TruncatedOperator) -> str:
     lines = [f"{operator.dim} {operator.kind.value}"]
     for row in operator.matrix:
         lines.append(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def sample_csv_oracle(sample: ProcessSample) -> str:
+    """``sample.csv`` text: header ``t,X_t,eps_t``, then one ``%.17g`` row per step."""
+    eps = sample.aligned_innovations
+    lines = ["t,X_t,eps_t"]
+    for t in range(sample.t_len):
+        lines.append(f"{t},{sample.path[t]:.17g},{eps[t]:.17g}")
     return "\n".join(lines) + "\n"

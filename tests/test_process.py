@@ -1,8 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from oracles import sample_csv_oracle
 
 from shiftop import process, wiener
 from shiftop.invertibility import NotInvertibleError
@@ -311,6 +315,84 @@ def test_sample_csv_layout():
     assert t == "0"
     assert float(x) == sample.path[0]
     assert float(e) == sample.aligned_innovations[0]
+
+
+BLOCK = process.CSV_BLOCK_ROWS
+CSV_LENGTHS = (1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 200_003)
+
+
+@pytest.mark.parametrize(
+    "f, sigma",
+    [(MA1, 1.0), (WINDOW, 1.0), (WienerElement((1, -1)), 1.0)]
+    + [(MA1, sigma) for sigma in (0.0, 1e-9, 1e12, 1e20)],
+    ids=["invertible", "inside", "on_circle", "zero", "tiny", "large", "huge"],
+)
+def test_sample_csv_matches_row_oracle(f, sigma):
+    # shorter paths of one seed are prefixes of the longest, so one oracle
+    # text serves every length; sigma 0 and 1e-9 send every cell to Python's
+    # formatting, 1e20 most of them
+    longest = sample_csv_oracle(simulate(f, sigma, max(CSV_LENGTHS), 17)).splitlines()
+    for t_len in CSV_LENGTHS:
+        text = process.sample_to_csv(simulate(f, sigma, t_len, 17))
+        assert text == "\n".join(longest[: t_len + 1]) + "\n", t_len
+
+
+def _csv_cells(values) -> list[str]:
+    """The X_t column of ``sample.csv`` for a path equal to ``values``."""
+    path = np.asarray(values, dtype=float)
+    sample = process.ProcessSample(path, path, 1.0, ONE, 0)
+    rows = process.sample_to_csv(sample).splitlines()[1:]
+    assert [r.split(",")[1] for r in rows] == [r.split(",")[2] for r in rows]
+    return [r.split(",")[1] for r in rows]
+
+
+def _ulp_neighbours(x: float, steps: int = 3) -> list[float]:
+    out = [x]
+    up = down = x
+    for _ in range(steps):
+        up, down = math.nextafter(up, math.inf), math.nextafter(down, -math.inf)
+        out += [up, down]
+    return out
+
+
+def _decimal_ties() -> list[float]:
+    # x = I + c / 2**j with an (18 - j)-digit integer I and odd c has exactly
+    # 18 significant digits, the last a 5: a tie at 17 digits
+    ties = []
+    for j in range(2, 18):
+        for c in (1, 3):
+            numerator = (10 ** (17 - j) + 1) * 2**j + c
+            if numerator < 2**53:
+                ties.append(numerator / 2**j)
+    return ties
+
+
+def test_csv_cells_match_format_on_adversarial_values():
+    values = [0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, math.inf, -math.inf, math.nan]
+    for k in range(-6, 17):
+        values += _ulp_neighbours(float(f"1e{k}"))
+    values += _ulp_neighbours(float("1e-14"))  # 17-digit rounding carries to "1e-14"
+    values += _ulp_neighbours(float("1e17")) + _ulp_neighbours(1e-4, 8)
+    values += _decimal_ties()
+    values += [-v for v in values]
+    assert _csv_cells(values) == [format(v, ".17g") for v in values]
+    # half-even at the 17th digit
+    assert _csv_cells([32000000000001 / 32, 32000000000003 / 32]) == [
+        "1000000000000.0312",
+        "1000000000000.0938",
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.floats(), st.floats(1e-4, 1e17), st.floats(-1e17, -1e-4)),
+        min_size=1,
+        max_size=64,
+    )
+)
+def test_csv_cells_match_format_property(values):
+    assert _csv_cells(values) == [format(v, ".17g") for v in values]
 
 
 def test_metadata_sidecar_contents():
