@@ -34,6 +34,7 @@ from .operators import (
     TruncatedOperator,
     build_bilateral,
     build_unilateral,
+    compression_norm,
     isometry_sweep,
     operator_norm,
     rayleigh_quotient,
@@ -88,6 +89,7 @@ __all__ = [
     "TruncatedOperator",
     "build_bilateral",
     "build_unilateral",
+    "compression_norm",
     "isometry_sweep",
     "operator_norm",
     "rayleigh_quotient",

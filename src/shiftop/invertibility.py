@@ -291,8 +291,10 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     ``1/f``.  The recursion for ``g`` is exact up to rounding and exposes
     geometric blow-up such as the ``2**(N-1)`` growth of ``(1 - 2z)**-1``.
     Each row also carries ``norm_triangular = ||T_N(f)||``, the compression
-    norm an isometry sweep tabulates.  A singular circulant (symbol vanishing
-    at a root of unity) is reported with infinite norms, not raised.
+    norm an isometry sweep tabulates, read off the banded Gram matrix by
+    :func:`operators.compression_norm`; only ``T_N(g)`` takes a dense SVD.
+    A singular circulant (symbol vanishing at a root of unity) is reported
+    with infinite norms, not raised.
     """
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
@@ -316,8 +318,7 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         else:
             norm_circ_inv = 1.0 / smallest
             cond_circ = largest / smallest
-        # no matrix outlives its norm, so one N x N matrix is alive at a time
-        norm_tri = operators.operator_norm(operators.build_unilateral(f, dim))
+        norm_tri = operators.compression_norm(f, dim)
         if a0 == 0:
             norm_tri_inv = float("inf")
             cond_tri = float("inf")

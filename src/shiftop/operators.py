@@ -10,7 +10,11 @@ Two families of matrices realize a symbol ``f``:
   circulant matrix whose eigenvalues are the symbol's values at the N-th
   roots of unity.
 
-``operator_norm`` takes one dense SVD of whatever matrix it is given.
+``compression_norm(f, N)`` reads ``||T_N(f)||`` off the banded Gram matrix
+``T_N(f)^H T_N(f)``, whose bandwidth is the degree ``q`` of ``f``, in
+O(N q^2) instead of a dense SVD's O(N^3).  ``operator_norm`` takes one dense
+SVD of whatever matrix it is given; within the package it serves only the
+triangular inverse ``T_N(1/f)``, which has no band.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ __all__ = [
     "build_unilateral",
     "build_bilateral",
     "operator_norm",
+    "compression_norm",
     "rayleigh_quotient",
     "isometry_dims",
     "isometry_rows",
@@ -100,14 +105,11 @@ class SzegoVector:
         return cls(point, values)
 
 
-def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
-    """Power series in the truncated shift: ``sum_n a_n S**n``.
+def _unilateral_column(f: WienerElement, dim: int) -> np.ndarray:
+    """First column of ``build_unilateral(f, dim)``: ``a_0 .. a_{dim-1}``.
 
-    ``S`` is the ``dim x dim`` matrix with ones on the first subdiagonal
-    (``S e_j = e_{j+1}``, last basis vector annihilated), so ``S**n`` has ones
-    on the n-th subdiagonal and each coefficient lands on its own diagonal:
-    entry ``(i, j)`` is ``a_{i-j}``, zero above the diagonal and for indices
-    at or past ``dim``.  Requires a causal symbol.
+    Holds the checks both routes to ``T_N(f)`` share: ``dim >= 1`` and a
+    causal symbol.
     """
     dim = int(dim)
     if dim < 1:
@@ -117,10 +119,25 @@ def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
             "unilateral compression needs a causal symbol (offset >= 0); "
             f"got offset {f.offset}"
         )
-    # padded[dim - 1 + n] = a_n, with zeros at every negative n
-    padded = np.zeros(2 * dim - 1, dtype=complex)
+    column = np.zeros(dim, dtype=complex)
     coeffs = f.to_array()[: max(dim - f.offset, 0)]
-    padded[dim - 1 + f.offset : dim - 1 + f.offset + len(coeffs)] = coeffs
+    column[f.offset : f.offset + len(coeffs)] = coeffs
+    return column
+
+
+def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
+    """Power series in the truncated shift: ``sum_n a_n S**n``.
+
+    ``S`` is the ``dim x dim`` matrix with ones on the first subdiagonal
+    (``S e_j = e_{j+1}``, last basis vector annihilated), so ``S**n`` has ones
+    on the n-th subdiagonal and each coefficient lands on its own diagonal:
+    entry ``(i, j)`` is ``a_{i-j}``, zero above the diagonal and for indices
+    at or past ``dim``.  Requires a causal symbol.
+    """
+    column = _unilateral_column(f, dim)
+    dim = len(column)
+    # padded[dim - 1 + n] = a_n, with zeros at every negative n
+    padded = np.concatenate((np.zeros(dim - 1, dtype=complex), column))
     i = np.arange(dim)
     matrix = padded[dim - 1 + i[:, None] - i[None, :]]
     return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
@@ -153,12 +170,49 @@ def operator_norm(operator) -> float:
     """Largest singular value of a square matrix, from a dense SVD.
 
     Accepts a :class:`TruncatedOperator` of either kind or a plain square
-    array.
+    array.  For the compression ``T_N(f)`` of a polynomial symbol use
+    :func:`compression_norm`, which needs no ``N x N`` matrix.
     """
     matrix = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator must be a square matrix")
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def compression_norm(f: WienerElement, dim: int) -> float:
+    """``||T_N(f)||`` for ``T_N(f) = build_unilateral(f, dim)``, without the matrix.
+
+    With ``a_m`` the coefficients kept by the truncation and ``q`` the last
+    nonzero index, ``G = T_N(f)^H T_N(f)`` is Hermitian with bandwidth ``q``:
+    ``G[j+k, j] = sum_{m=k}^{min(q, N-1-j)} conj(a_{m-k}) a_m``.  The norm is
+    the square root of the largest eigenvalue of ``G``, found from its lower
+    band storage.  Coefficients are scaled by their largest modulus first so
+    the products neither overflow nor underflow.
+    """
+    from scipy.linalg import eigvals_banded
+
+    a = _unilateral_column(f, dim)
+    dim = len(a)
+    nonzero = np.flatnonzero(a)
+    if nonzero.size == 0:
+        return 0.0
+    a = a[: nonzero[-1] + 1]
+    scale = float(np.abs(a).max())
+    # divide the real and imaginary parts as floats: numpy's complex
+    # division by a subnormal scale overflows to inf and nan
+    a = (a.view(float) / scale).view(complex)
+    q = len(a) - 1
+    # band row k at column j sums the prefix of m = k .. min(q, N-1-j);
+    # a negative prefix length marks the entries past the matrix's corner
+    last = np.minimum(q, dim - 1 - np.arange(dim))
+    band = np.zeros((q + 1, dim), dtype=complex)
+    for k in range(q + 1):
+        prefix = np.cumsum(np.conj(a[: q + 1 - k]) * a[k:])
+        length = last - k
+        inside = length >= 0
+        band[k, inside] = prefix[length[inside]]
+    top = eigvals_banded(band, lower=True, select="i", select_range=(dim - 1, dim - 1))
+    return scale * float(np.sqrt(max(top[0], 0.0)))
 
 
 def rayleigh_quotient(f: WienerElement, w: SzegoVector) -> complex:
@@ -207,7 +261,7 @@ def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[Iso
     """
     dims = isometry_dims(dims)
     sup = wiener.sup_norm(f, grid_size)
-    norms = [operator_norm(build_unilateral(f, dim)) for dim in dims]
+    norms = [compression_norm(f, dim) for dim in dims]
     return isometry_rows(dims, norms, sup)
 
 

@@ -68,15 +68,20 @@ def test_analyze_borderline_has_no_inverse_block(runner, tmp_path):
 
 def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
     # ||T_N(f)|| serves both the isometry and the asymmetry table, so each N
-    # costs one norm of T_N(f) and one of its inverse
-    calls = []
-    norm = operators.operator_norm
+    # costs one banded norm of T_N(f) and one dense SVD of its inverse
+    calls = {"operator_norm": 0, "compression_norm": 0}
 
-    def counting_norm(operator):
-        calls.append(operator)
-        return norm(operator)
+    def counting(name):
+        fn = getattr(operators, name)
 
-    monkeypatch.setattr(operators, "operator_norm", counting_norm)
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(operators, name, counted)
+
+    counting("operator_norm")
+    counting("compression_norm")
     dims = (4, 16, 64)
     result = runner.invoke(
         main,
@@ -84,7 +89,7 @@ def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
          "--out", str(tmp_path)],
     )
     assert result.exit_code == 0, result.output
-    assert len(calls) == 2 * len(dims)
+    assert calls == {"operator_norm": len(dims), "compression_norm": len(dims)}
 
 
 def test_analyze_rejects_unordered_dims(runner, tmp_path):
@@ -109,7 +114,7 @@ def test_analyze_honors_dims(runner, tmp_path):
 
 def test_analyze_isometry_matches_sweep(runner, tmp_path):
     # analyze reuses the asymmetry rows' ||T_N(f)||; the public sweep, which
-    # takes its own SVDs, is the reference for both outputs
+    # computes its own compression norms, is the reference for both outputs
     f = WienerElement((1, -2 + 0.5j, 0.3))
     dims = (4, 16, 64, 256)
     grid = 4096

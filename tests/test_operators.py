@@ -1,5 +1,9 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from shiftop import operators, wiener
@@ -8,6 +12,7 @@ from shiftop.operators import (
     SzegoVector,
     build_bilateral,
     build_unilateral,
+    compression_norm,
     isometry_dims,
     isometry_rows,
     isometry_sweep,
@@ -198,6 +203,64 @@ def test_truncation_is_multiplicative_up_to_rounding():
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
 
+def test_compression_norm_matches_dense_svd():
+    # the largest eigenvalue of the banded Gram matrix against the SVD of
+    # the matrix itself
+    cases = [
+        (WienerElement((1 + 0.5j, -0.3 + 0.8j, 0.2 - 0.1j, 0.05j)), 64),  # complex
+        (WienerElement((2 - 1j, 1 + 1j, -0.75), offset=3), 40),  # offset > 0
+        (WienerElement((1, -0.5j, 0.25, 2, -1, 0.5)), 4),  # support longer than dim
+        (WienerElement((0.5, 1j, -2), offset=2), 3),  # support reaching past dim
+        (WienerElement((3 - 4j, 1)), 1),
+        (WienerElement((1e200, -2e200j)), 16),  # squares would overflow
+        (WienerElement((1e-200, 3e-201)), 16),  # squares would underflow
+        (WienerElement((2.25e-311, 1e-320j)), 8),  # subnormal coefficients
+        (WienerElement((1, -2)), 1024),
+    ]
+    rng = np.random.default_rng(29)
+    cases += [(random_causal(rng), int(rng.integers(1, 48))) for _ in range(40)]
+    for f, n in cases:
+        assert_allclose(
+            compression_norm(f, n), operator_norm(build_unilateral(f, n)), rtol=1e-13
+        )
+
+
+def test_compression_norm_exact_cases_and_errors():
+    assert compression_norm(wiener.ZERO, 5) == 0.0
+    for k in range(4):
+        assert compression_norm(wiener.monomial(k), 9) == 1.0
+    assert compression_norm(wiener.monomial(3), 3) == 0.0  # z**3 truncated away
+    for f, n in ((ONE, 0), (WienerElement((1,), offset=-1), 4)):
+        with pytest.raises(ValueError) as expected:
+            build_unilateral(f, n)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            compression_norm(f, n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=9,
+    ),
+    st.integers(0, 3),
+    st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
+)
+def test_compression_norm_bracket_and_monotone_property(coeffs, offset, dims):
+    # ||T_N(f)|| lies between the l2 and l1 norms of its first column, and
+    # grows with N because each matrix is the leading block of the next
+    f = WienerElement(tuple(coeffs), offset)
+    dims = sorted(dims)
+    column = np.array([f.coeff(m) for m in range(dims[-1])])
+    norms = [compression_norm(f, n) for n in dims]
+    for n, value in zip(dims, norms):
+        head = column[:n]
+        assert np.linalg.norm(head) * (1 - 1e-12) <= value <= np.abs(head).sum() * (1 + 1e-12)
+    for low, high in zip(norms, norms[1:]):
+        assert high >= low * (1 - 1e-12)
+
+
 # -- Szego vectors and Rayleigh quotients --------------------------------------
 
 
@@ -279,7 +342,7 @@ def test_isometry_rows_match_sweep():
     f = WienerElement((1, -2))
     dims = (4, 16, 64)
     sup = wiener.sup_norm(f, 1 << 16)
-    norms = [operator_norm(build_unilateral(f, n)) for n in dims]
+    norms = [compression_norm(f, n) for n in dims]
     assert isometry_rows(dims, norms, sup) == isometry_sweep(f, dims)
     with pytest.raises(ValueError):
         isometry_rows(dims, norms[:2], sup)
