@@ -47,6 +47,7 @@ from .invertibility import (
     RootClassification,
     TailNotCertifiedError,
     Verdict,
+    WideFloat,
     asymmetry_report,
     classify_roots,
     invert_anticausal,
@@ -100,6 +101,7 @@ __all__ = [
     "RootClassification",
     "TailNotCertifiedError",
     "Verdict",
+    "WideFloat",
     "asymmetry_report",
     "classify_roots",
     "invert_anticausal",

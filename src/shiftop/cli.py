@@ -6,7 +6,9 @@ JSON coefficient format, which also carries offsets and imaginary parts),
 writes machine-readable reports under ``--out``, and echoes a short human
 summary.  Reruns with identical configuration produce byte-identical files:
 floats are pinned to 17 significant digits in CSV cells, JSON numbers use
-exact round-trip repr, and all randomness is keyed by the seed.
+exact round-trip repr, and all randomness is keyed by the seed.  JSON is
+strict (RFC 8259): a value with no finite float is ``null``, and a norm past
+float max is a decimal literal with 17 significant digits.
 
 Exit codes: 0 success, 2 invalid input, 3 borderline symbol (root on the
 circle), 4 truncation tail not certified.
@@ -15,7 +17,9 @@ circle), 4 truncation tail not certified.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,6 +32,7 @@ from .invertibility import (
     NotInvertibleError,
     TailNotCertifiedError,
     Verdict,
+    WideFloat,
 )
 from .wiener import WienerElement
 
@@ -125,8 +130,33 @@ def _write_text(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+# a WideFloat past float max goes through json.dumps as this prefix plus its
+# decimal literal, and the quoted string is then replaced by the bare literal
+_LITERAL_MARK = "\0"
+_LITERAL_STRING = re.compile(r'"\\u0000([^"]*)"')
+
+
+def _literal_placeholder(value):
+    if isinstance(value, WideFloat):
+        return _LITERAL_MARK + value.text()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 def _json_text(document) -> str:
-    return json.dumps(document, indent=2) + "\n"
+    """Strict JSON (RFC 8259): NaN or infinity raises ``ValueError``.
+
+    A :class:`WideFloat` in ``document`` is written as its decimal literal,
+    a JSON number even past float max.
+    """
+    text = json.dumps(document, indent=2, allow_nan=False, default=_literal_placeholder)
+    return _LITERAL_STRING.sub(r"\1", text) + "\n"
+
+
+def _json_number(wide: WideFloat | None):
+    """``null`` for no value, the float within float range, else the literal."""
+    if wide is None or math.isinf(float(wide)):
+        return wide
+    return float(wide)
 
 
 def _complex_pairs(values) -> list[list[float]]:
@@ -152,10 +182,12 @@ def _inversion_block(f: WienerElement, classification, eps: float):
         else:
             result = invertibility.invert_anticausal(f, INVERT_MAX_LEN, eps)
     except TailNotCertifiedError as exc:
+        bound = exc.achieved_bound
         return {
             "available": False,
             "reason": f"tail not certified within {INVERT_MAX_LEN} coefficients",
-            "achieved_bound": exc.achieved_bound,
+            # the bound itself overflows for a high degree near the circle
+            "achieved_bound": bound if math.isfinite(bound) else None,
         }
     return {
         "available": True,
@@ -174,6 +206,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         dims = operators.isometry_dims(config.dims)
         classification = invertibility.classify_roots(f, config.tol)
         l1 = wiener.l1_norm(f)
+        if math.isinf(l1):
+            raise ValueError("coefficients too large: their l1 norm overflows")
         sup = wiener.sup_norm(f, config.grid_size)
         asym = invertibility.asymmetry_report(f, dims)
     except ValueError as exc:
@@ -202,10 +236,11 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         "asymmetry": [
             {
                 "N": r.dim,
-                "norm_circulant_inverse": r.norm_circulant_inverse,
-                "norm_triangular_inverse": r.norm_triangular_inverse,
-                "cond_circulant": r.cond_circulant,
-                "cond_triangular": r.cond_triangular,
+                # a singular circulant has no inverse norm: null, and the flag
+                "norm_circulant_inverse": None if r.circulant_singular else r.norm_circulant_inverse,
+                "norm_triangular_inverse": _json_number(r.wide_norm_triangular_inverse),
+                "cond_circulant": None if r.circulant_singular else r.cond_circulant,
+                "cond_triangular": _json_number(r.wide_cond_triangular),
                 "circulant_singular": r.circulant_singular,
             }
             for r in asym

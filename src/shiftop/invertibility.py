@@ -13,7 +13,10 @@ circulant (bilateral) inverse norm stays pinned at
 
 from __future__ import annotations
 
+import decimal
 import enum
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +30,7 @@ __all__ = [
     "RootClassification",
     "InversionResult",
     "AsymmetryRow",
+    "WideFloat",
     "NotInvertibleError",
     "TailNotCertifiedError",
     "classify_roots",
@@ -42,6 +46,11 @@ MAX_ROOT_TOL = 1e-4
 
 DEFAULT_MAX_LEN = 4096
 DEFAULT_EPS = 1e-10
+
+# Block power iteration for ||T_N(f)^{-1}||: the step cap, and the bound on
+# the extrapolated relative error below which the estimate has settled.
+INVERSE_NORM_MAX_STEPS = 64
+INVERSE_NORM_TOL = 1e-14
 
 
 class Verdict(enum.Enum):
@@ -147,20 +156,33 @@ def classify_roots(f: WienerElement, tol: float = DEFAULT_ROOT_TOL) -> RootClass
     return RootClassification(tuple(roots), inside, on_circle, outside, tol)
 
 
+def _solve_unilateral(band: np.ndarray, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``T^{-1} rhs`` (``trans="N"``) or ``T^{-H} rhs`` (``"C"``) for ``T`` in band storage.
+
+    ``T`` is lower triangular with ``band[k, j] = T[j + k, j]``, LAPACK's
+    lower band storage.
+
+    One forward or backward substitution per column of ``rhs``, O(N q): the
+    recursion shared by the series inverse and the inverse norm.
+    """
+    from scipy.linalg.lapack import ztbtrs
+
+    x, info = ztbtrs(band, rhs, uplo="L", trans=trans)
+    if info != 0:
+        raise ValueError(f"banded triangular solve failed (LAPACK ztbtrs info {info})")
+    return x
+
+
 def _series_inverse_prefix(coeffs: np.ndarray, length: int) -> np.ndarray:
     """First ``length`` coefficients of the formal power-series inverse.
 
-    ``g_0 = 1/a_0`` and ``g_n = -(1/a_0) sum_{k=1..min(n,q)} a_k g_{n-k}``.
+    ``g_n = -(1/a_0) sum_{k=1..min(n,q)} a_k g_{n-k}`` is forward substitution
+    in ``T_L(f) g = e_0``: ``g`` is the first column of ``T_L(f)^{-1}``.
     """
-    a = np.asarray(coeffs, dtype=complex)
-    q = len(a) - 1
-    g = np.zeros(length, dtype=complex)
-    g[0] = 1.0 / a[0]
-    for n in range(1, length):
-        k = min(n, q)
-        acc = np.dot(a[1 : k + 1], g[n - 1 :: -1][:k])
-        g[n] = -acc / a[0]
-    return g
+    a = np.asarray(coeffs, dtype=complex)[:length]
+    rhs = np.zeros((length, 1), dtype=complex)
+    rhs[0] = 1.0
+    return _solve_unilateral(np.repeat(a[:, None], length, axis=1), rhs)[:, 0]
 
 
 def _geometric_tail_bound(rho: float, q: int, a0_abs: float, length: int) -> float:
@@ -270,7 +292,64 @@ def invert_anticausal(
 
 
 @dataclass(frozen=True)
+class WideFloat:
+    """A positive number ``mantissa * 2**exponent`` that may lie past float max.
+
+    ``mantissa`` lies in [0.5, 1), as :func:`math.frexp` returns it, so a
+    value split off a float is exact and products round like float products.
+    """
+
+    mantissa: float
+    exponent: int
+
+    @classmethod
+    def of(cls, x: float) -> "WideFloat":
+        m, e = math.frexp(x)
+        return cls(m, e)
+
+    def __mul__(self, other: "WideFloat") -> "WideFloat":
+        m, e = math.frexp(self.mantissa * other.mantissa)
+        return WideFloat(m, e + self.exponent + other.exponent)
+
+    def __float__(self) -> float:
+        """The value, ``inf`` past float max."""
+        if self.exponent > sys.float_info.max_exp:
+            return math.inf
+        return math.ldexp(self.mantissa, self.exponent)
+
+    def log10(self) -> float:
+        return math.log10(self.mantissa) + self.exponent * math.log10(2.0)
+
+    def text(self) -> str:
+        """``%.17g`` of the value; past float max, a decimal literal of that form.
+
+        The literal has 17 significant digits, trailing zeros dropped, such
+        as ``2.8843012345678901e+498``: a JSON number (RFC 8259) that a float
+        reader takes as ``inf``.
+        """
+        value = float(self)
+        if value != math.inf:
+            return f"{value:.17g}"
+        wide = decimal.Context(prec=40, Emax=decimal.MAX_EMAX)
+        exact = wide.multiply(decimal.Decimal(self.mantissa), wide.power(2, self.exponent))
+        digits = decimal.Context(prec=17, Emax=decimal.MAX_EMAX).plus(exact).normalize()
+        return format(digits, "e")
+
+
+@dataclass(frozen=True)
 class AsymmetryRow:
+    """One truncation dimension of :func:`asymmetry_report`.
+
+    ``norm_triangular_inverse`` and ``cond_triangular`` read ``inf`` past
+    float max, and when ``a_0 = 0``; ``wide_norm_triangular_inverse`` holds
+    the same norm exactly past float max too (``None`` when ``a_0 = 0``).
+    ``inverse_route`` names what answered that norm: ``"power"`` (block
+    power iteration), ``"banded"`` (the banded Gram eigenvalue, after power
+    iteration did not settle on an Invertible symbol) or ``"none"``
+    (``a_0 = 0``).  ``inverse_steps`` counts the power steps taken and
+    ``inverse_change`` is the last relative change of the power estimate.
+    """
+
     dim: int
     norm_circulant_inverse: float
     norm_triangular_inverse: float
@@ -278,6 +357,87 @@ class AsymmetryRow:
     cond_triangular: float
     circulant_singular: bool
     norm_triangular: float
+    wide_norm_triangular_inverse: WideFloat | None
+    inverse_route: str
+    inverse_steps: int
+    inverse_change: float
+
+    @property
+    def wide_cond_triangular(self) -> WideFloat | None:
+        """``cond_triangular`` held exactly past float max."""
+        if self.wide_norm_triangular_inverse is None:
+            return None
+        return self.wide_norm_triangular_inverse * WideFloat.of(self.norm_triangular)
+
+
+def _triangular_inverse_norm(
+    f: WienerElement, dim: int, rho: float, invertible: bool
+) -> tuple[WideFloat, str, int, float]:
+    """``||T_N(f)^{-1}||`` with no N x N matrix: (norm, route, steps, change).
+
+    ``T_N(f)^{-1} = T_N(g)``, ``g = 1/f``, overflows for a root inside the
+    circle, so the iteration runs on a factor of it that stays in float
+    range.  With ``rho = min(1, min|root|)``, ``e_i = round(i log2(1/rho))``,
+    ``D = diag(2**-e_i)`` and ``2**t`` the binary order of ``|a_0|``, the
+    matrix ``B = D T_N(f / 2**t) D^{-1}`` is banded lower triangular with
+    entries within a factor 2 of those of ``f(rho z)``, whose roots lie on or
+    outside the circle, and
+    ``M = diag(2**(e_i - e_{N-1})) B^{-1} diag(2**-e_j) = 2**(t - e_{N-1}) T_N(g)``.
+    Every scaling is a power of two, so none of them rounds and the result
+    does not depend on ``rho``; ``rho`` only keeps the iteration from
+    overflowing.  ``M`` and ``M^H`` are applied by banded triangular solves
+    with ``B``, O(N q) per column, and the norm is ``||M|| 2**(e_{N-1} - t)``.
+
+    Block power iteration on ``M^H M`` with ``q + 1`` columns and
+    Rayleigh-Ritz: a root inside or near the circle splits the top singular
+    values off from the rest (Boettcher & Grudsky, 2005), one per root, so
+    the block settles in a few steps; a single vector would stall on a
+    conjugate pair of roots.  It has settled once the last relative change,
+    and the remainder it extrapolates to geometrically from the two last
+    changes, are both below ``INVERSE_NORM_TOL``.  When the top singular
+    values cluster instead, as for roots far outside the circle, it may not
+    settle within ``INVERSE_NORM_MAX_STEPS``.  For an Invertible symbol the
+    norm is then ``1/sqrt`` of the smallest eigenvalue of the banded Gram
+    matrix ``T_N(f)^H T_N(f)``, accurate to about ``eps * cond**2`` with the
+    condition number bounded by the symbol; otherwise the unsettled power
+    estimate stands, and ``change`` shows it.
+    """
+    from scipy.linalg import eigvals_banded
+
+    a = f.to_array()
+    q = len(a) - 1
+    # every scaling is by a power of two, so none of them rounds
+    e = np.rint(np.arange(dim) * math.log2(1.0 / rho)).astype(np.int64)
+    t = math.frexp(abs(a[0]))[1]
+    columns = np.arange(dim)
+    band = np.empty((q + 1, dim), dtype=complex)
+    for k in range(q + 1):
+        shift = t + e[np.minimum(columns + k, dim - 1)] - e[columns]
+        band.real[k] = np.ldexp(a[k].real, -shift)
+        band.imag[k] = np.ldexp(a[k].imag, -shift)
+    left, right = np.ldexp(1.0, e - e[-1])[:, None], np.ldexp(1.0, -e)[:, None]
+    start = np.random.default_rng(0).standard_normal((dim, q + 1))
+    x = np.linalg.qr(start.astype(complex))[0]
+    sigma, change, previous = 0.0, math.nan, math.nan
+    for step in range(1, INVERSE_NORM_MAX_STEPS + 1):
+        y = left * _solve_unilateral(band, right * x)
+        ritz = math.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1])
+        change, previous, sigma = abs(ritz - sigma) / ritz, change, ritz
+        # settled: the last change and the remainder change * r / (1 - r) it
+        # extrapolates to, with r = change / previous, are both below the tol
+        if change <= INVERSE_NORM_TOL and (
+            change == 0.0 or change * change <= INVERSE_NORM_TOL * (previous - change)
+        ):
+            break
+        x = np.linalg.qr(right * _solve_unilateral(band, left * y, "C"))[0]
+    else:
+        if invertible:
+            gram, scale = operators._gram_band(f, dim)
+            lowest = eigvals_banded(gram, lower=True, select="i", select_range=(0, 0))[0]
+            if lowest > 0:
+                return WideFloat.of(1.0 / (scale * math.sqrt(lowest))), "banded", step, change
+    mantissa, exponent = math.frexp(sigma)
+    return WideFloat(mantissa, exponent + int(e[-1]) - t), "power", step, change
 
 
 def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
@@ -285,16 +445,19 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
 
     The circulant side is inverted through its spectrum (the symbol's values
     at the roots of unity; a normal matrix's inverse norm is one over its
-    smallest eigenvalue modulus).  The triangular side needs no solve: a lower-triangular Toeplitz matrix's
-    inverse is the Toeplitz matrix of the power-series inverse, so
-    ``T_N(f)**-1 = T_N(g)`` with ``g`` the first ``N`` coefficients of
-    ``1/f``.  The recursion for ``g`` is exact up to rounding and exposes
-    geometric blow-up such as the ``2**(N-1)`` growth of ``(1 - 2z)**-1``.
-    Each row also carries ``norm_triangular = ||T_N(f)||``, the compression
-    norm an isometry sweep tabulates, read off the banded Gram matrix by
-    :func:`operators.compression_norm`; only ``T_N(g)`` takes a dense SVD.
-    A singular circulant (symbol vanishing at a root of unity) is reported
-    with infinite norms, not raised.
+    smallest eigenvalue modulus).  A singular circulant (symbol vanishing at
+    a root of unity) is reported with infinite norms, not raised.
+
+    The triangular side forms no matrix.  ``norm_triangular = ||T_N(f)||``,
+    the compression norm an isometry sweep tabulates, is read off the banded
+    Gram matrix by :func:`operators.compression_norm`.  The inverse of a
+    lower-triangular Toeplitz matrix is the Toeplitz matrix of the
+    power-series inverse, ``T_N(f)^{-1} = T_N(1/f)``, and its norm comes
+    from banded triangular solves (:func:`_triangular_inverse_norm`), carried
+    as a :class:`WideFloat` so that the geometric blow-up of a root inside
+    the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
+    past float max.  ``a_0 = 0`` makes ``T_N(f)`` singular: infinite
+    triangular norms, route ``"none"``.
     """
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
@@ -302,6 +465,11 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         raise ValueError("asymmetry report needs a nonzero symbol")
     rows = []
     a0 = f.coeff(0)
+    if a0 != 0:
+        classification = classify_roots(f)
+        # the value does not depend on rho, only whether the iteration overflows
+        rho = min([1.0, *(abs(r) for r in classification.roots)])
+        invertible = classification.verdict is Verdict.INVERTIBLE
     for dim in dims:
         dim = int(dim)
         if dim < f.support_length:
@@ -320,30 +488,32 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
             cond_circ = largest / smallest
         norm_tri = operators.compression_norm(f, dim)
         if a0 == 0:
-            norm_tri_inv = float("inf")
-            cond_tri = float("inf")
+            wide, route, steps, change = None, "none", 0, 0.0
+            norm_tri_inv = cond_tri = float("inf")
         else:
-            # a root inside the circle can overflow g to inf/nan; the norm
-            # below then reads inf or raises LinAlgError
-            with np.errstate(over="ignore", invalid="ignore"):
-                g = _series_inverse_prefix(f.to_array(), dim)
-            norm_tri_inv = operators.operator_norm(
-                operators.build_unilateral(WienerElement(tuple(g)), dim)
-            )
+            wide, route, steps, change = _triangular_inverse_norm(f, dim, rho, invertible)
+            norm_tri_inv = float(wide)
             cond_tri = norm_tri * norm_tri_inv
         rows.append(
             AsymmetryRow(
-                dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular, norm_tri
+                dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular,
+                norm_tri, wide, route, steps, change,
             )
         )
     return rows
+
+
+def _csv_cell(value: float, wide: WideFloat | None) -> str:
+    """``%.17g`` of ``value``; past float max, the decimal literal of ``wide``."""
+    return wide.text() if value == math.inf and wide is not None else f"{value:.17g}"
 
 
 def asymmetry_csv(rows) -> str:
     lines = ["N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular"]
     for r in rows:
         lines.append(
-            f"{r.dim},{r.norm_circulant_inverse:.17g},{r.norm_triangular_inverse:.17g},"
-            f"{r.cond_circulant:.17g},{r.cond_triangular:.17g}"
+            f"{r.dim},{r.norm_circulant_inverse:.17g},"
+            f"{_csv_cell(r.norm_triangular_inverse, r.wide_norm_triangular_inverse)},"
+            f"{r.cond_circulant:.17g},{_csv_cell(r.cond_triangular, r.wide_cond_triangular)}"
         )
     return "\n".join(lines) + "\n"

@@ -12,9 +12,12 @@ Two families of matrices realize a symbol ``f``:
 
 ``compression_norm(f, N)`` reads ``||T_N(f)||`` off the banded Gram matrix
 ``T_N(f)^H T_N(f)``, whose bandwidth is the degree ``q`` of ``f``, in
-O(N q^2) instead of a dense SVD's O(N^3).  ``operator_norm`` takes one dense
-SVD of whatever matrix it is given; within the package it serves only the
-triangular inverse ``T_N(1/f)``, which has no band.
+O(N q^2) instead of a dense SVD's O(N^3).  The norm of the triangular
+inverse ``T_N(1/f)`` needs no matrix either: ``invertibility`` applies it by
+banded triangular solves.  ``operator_norm`` takes one dense SVD of whatever
+matrix it is given; no computation in the package calls it or builds an
+``N x N`` matrix with ``build_unilateral``, and both stay public for plain
+matrices and as the dense reference.
 """
 
 from __future__ import annotations
@@ -171,7 +174,8 @@ def operator_norm(operator) -> float:
 
     Accepts a :class:`TruncatedOperator` of either kind or a plain square
     array.  For the compression ``T_N(f)`` of a polynomial symbol use
-    :func:`compression_norm`, which needs no ``N x N`` matrix.
+    :func:`compression_norm`, which needs no ``N x N`` matrix; for its
+    inverse, :func:`shiftop.invertibility.asymmetry_report`.
     """
     matrix = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -179,23 +183,21 @@ def operator_norm(operator) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def compression_norm(f: WienerElement, dim: int) -> float:
-    """``||T_N(f)||`` for ``T_N(f) = build_unilateral(f, dim)``, without the matrix.
+def _gram_band(f: WienerElement, dim: int) -> tuple[np.ndarray, float]:
+    """Lower band storage of ``T_N(f)^H T_N(f) / s**2`` and the scale ``s``.
 
     With ``a_m`` the coefficients kept by the truncation and ``q`` the last
-    nonzero index, ``G = T_N(f)^H T_N(f)`` is Hermitian with bandwidth ``q``:
-    ``G[j+k, j] = sum_{m=k}^{min(q, N-1-j)} conj(a_{m-k}) a_m``.  The norm is
-    the square root of the largest eigenvalue of ``G``, found from its lower
-    band storage.  Coefficients are scaled by their largest modulus first so
-    the products neither overflow nor underflow.
+    nonzero index, the Gram matrix is Hermitian with bandwidth ``q``:
+    ``G[j+k, j] = sum_{m=k}^{min(q, N-1-j)} conj(a_{m-k}) a_m``.  ``s`` is the
+    largest coefficient modulus, divided out first so the products neither
+    overflow nor underflow.  A zero truncation gives an empty band and
+    ``s = 0``.
     """
-    from scipy.linalg import eigvals_banded
-
     a = _unilateral_column(f, dim)
     dim = len(a)
     nonzero = np.flatnonzero(a)
     if nonzero.size == 0:
-        return 0.0
+        return np.zeros((0, dim), dtype=complex), 0.0
     a = a[: nonzero[-1] + 1]
     scale = float(np.abs(a).max())
     # divide the real and imaginary parts as floats: numpy's complex
@@ -211,7 +213,23 @@ def compression_norm(f: WienerElement, dim: int) -> float:
         length = last - k
         inside = length >= 0
         band[k, inside] = prefix[length[inside]]
-    top = eigvals_banded(band, lower=True, select="i", select_range=(dim - 1, dim - 1))
+    return band, scale
+
+
+def compression_norm(f: WienerElement, dim: int) -> float:
+    """``||T_N(f)||`` for ``T_N(f) = build_unilateral(f, dim)``, without the matrix.
+
+    The square root of the largest eigenvalue of the banded Gram matrix
+    ``T_N(f)^H T_N(f)`` (see :func:`_gram_band`), O(N q^2) for bandwidth
+    ``q``.
+    """
+    from scipy.linalg import eigvals_banded
+
+    band, scale = _gram_band(f, dim)
+    if scale == 0.0:
+        return 0.0
+    last = band.shape[1] - 1
+    top = eigvals_banded(band, lower=True, select="i", select_range=(last, last))
     return scale * float(np.sqrt(max(top[0], 0.0)))
 
 

@@ -6,13 +6,17 @@ route (projected multiplication, column by column), so the two can be
 compared entrywise.  ``dump_matrix`` writes a dense text dump for exact
 round-trip comparisons.  ``sample_csv_oracle`` writes ``sample.csv`` one
 f-string per row, the reference for the block encoder in
-:func:`shiftop.process.sample_to_csv`.
+:func:`shiftop.process.sample_to_csv`.  ``series_inverse_oracle`` runs the
+power-series inverse recursion one coefficient at a time, the reference for
+the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
+``dense_inverse_norm`` takes ``||T_N(f)^{-1}||`` from a dense SVD of the
+Toeplitz matrix of that series.
 """
 
 import numpy as np
 
 from shiftop import wiener
-from shiftop.operators import OperatorKind, TruncatedOperator
+from shiftop.operators import OperatorKind, TruncatedOperator, build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
 
@@ -55,3 +59,34 @@ def sample_csv_oracle(sample: ProcessSample) -> str:
     for t in range(sample.t_len):
         lines.append(f"{t},{sample.path[t]:.17g},{eps[t]:.17g}")
     return "\n".join(lines) + "\n"
+
+
+def series_inverse_oracle(coeffs, length: int) -> np.ndarray:
+    """First ``length`` coefficients of ``1/f``, one dot product per coefficient.
+
+    ``g_0 = 1/a_0`` and ``g_n = -(1/a_0) sum_{k=1..min(n,q)} a_k g_{n-k}``.
+    """
+    a = np.asarray(coeffs, dtype=complex)
+    q = len(a) - 1
+    g = np.zeros(length, dtype=complex)
+    g[0] = 1.0 / a[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, length):
+            k = min(n, q)
+            acc = np.dot(a[1 : k + 1], g[n - 1 :: -1][:k])
+            g[n] = -acc / a[0]
+    return g
+
+
+def dense_inverse_norm(f: WienerElement, dim: int) -> float:
+    """``||T_N(f)^{-1}||`` from a dense SVD of ``T_N(1/f)``; inf once the series overflows.
+
+    A real series takes the real SVD, which is several times faster.
+    """
+    g = series_inverse_oracle(f.to_array(), dim)
+    if not np.all(np.isfinite(g)):
+        return float("inf")
+    matrix = build_unilateral(WienerElement(tuple(g)), dim).matrix
+    if not np.any(matrix.imag):
+        matrix = matrix.real
+    return float(np.linalg.svd(matrix, compute_uv=False)[0])

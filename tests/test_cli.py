@@ -1,11 +1,19 @@
+import decimal
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftop import operators, wiener
+from shiftop import cli, operators, wiener
 from shiftop.cli import main
+from shiftop.invertibility import WideFloat
 from shiftop.wiener import WienerElement
 
 
@@ -68,8 +76,9 @@ def test_analyze_borderline_has_no_inverse_block(runner, tmp_path):
 
 def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
     # ||T_N(f)|| serves both the isometry and the asymmetry table, so each N
-    # costs one banded norm of T_N(f) and one dense SVD of its inverse
-    calls = {"operator_norm": 0, "compression_norm": 0}
+    # costs one banded norm of T_N(f); its inverse's norm comes from banded
+    # solves, with no N x N matrix and no dense SVD
+    calls = {"operator_norm": 0, "build_unilateral": 0, "compression_norm": 0}
 
     def counting(name):
         fn = getattr(operators, name)
@@ -80,16 +89,121 @@ def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
 
         monkeypatch.setattr(operators, name, counted)
 
-    counting("operator_norm")
-    counting("compression_norm")
+    for name in calls:
+        counting(name)
     dims = (4, 16, 64)
+    for coeffs in ("1,-0.5", "1,-2", "1,-1"):
+        calls.update(dict.fromkeys(calls, 0))
+        result = runner.invoke(
+            main,
+            ["analyze", "--coeffs", coeffs, "--dims", ",".join(map(str, dims)),
+             "--out", str(tmp_path)],
+        )
+        assert result.exit_code == 0, result.output
+        assert calls == {"operator_norm": 0, "build_unilateral": 0, "compression_norm": len(dims)}
+
+
+def strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-RFC 8259 constant {name}")
+
+    with open(path) as handle:
+        return json.loads(handle.read(), parse_constant=reject)
+
+
+def test_analyze_writes_out_of_range_norms_as_decimal_literals(runner, tmp_path):
+    # ||T_1030(1/(1-2z))|| = (4/3) 2**1029 to 1e-15 passes float max; it is
+    # written as a JSON number with mantissa and exponent, not inf or null
     result = runner.invoke(
-        main,
-        ["analyze", "--coeffs", "1,-0.5", "--dims", ",".join(map(str, dims)),
-         "--out", str(tmp_path)],
+        main, ["analyze", "--coeffs", "1,-2", "--dims", "64,1030", "--out", str(tmp_path)]
     )
     assert result.exit_code == 0, result.output
-    assert calls == {"operator_norm": len(dims), "compression_norm": len(dims)}
+    report = strict_json(tmp_path / "report.json")
+    rows = {row["N"]: row for row in report["asymmetry"]}
+    assert rows[1030]["norm_triangular_inverse"] == float("inf")  # a float reader's view
+    assert rows[1030]["cond_triangular"] == float("inf")
+    assert rows[64]["norm_triangular_inverse"] < float("inf")
+    text = (tmp_path / "report.json").read_text()
+    asymmetry = text[text.index('"asymmetry"') :]
+    # within float range the value is the float itself, written as its repr
+    assert cli._json_text({"x": cli._json_number(WideFloat.of(0.1))}) == '{\n  "x": 0.1\n}\n'
+    assert cli._json_text({"x": cli._json_number(None)}) == '{\n  "x": null\n}\n'
+    row_text = asymmetry[asymmetry.index('"N": 1030,') :]
+    literal = re.search(r'"norm_triangular_inverse": (\d\.\d+e\+\d+),\n', row_text).group(1)
+    expected = decimal.Decimal(4) / 3 * decimal.Decimal(2) ** 1029
+    assert abs(decimal.Decimal(literal) / expected - 1) < decimal.Decimal("1e-13")
+    cond = re.search(r'"cond_triangular": (\d\.\d+e\+\d+),\n', row_text).group(1)
+    # the same literals in asymmetry.csv
+    last = (tmp_path / "asymmetry.csv").read_text().splitlines()[-1].split(",")
+    assert last[0] == "1030" and last[2] == literal and last[4] == cond
+
+
+def test_analyze_report_is_strict_json(runner, tmp_path):
+    # a singular circulant (root at z = 1) has null inverse norms beside its
+    # flag, and a_0 = 0 leaves T_N(f) singular: null triangular fields
+    cases = {"1,-1": "circulant", "0,1": "triangular"}
+    for coeffs, side in cases.items():
+        out = tmp_path / side
+        result = runner.invoke(main, ["analyze", "--coeffs", coeffs, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        for row in strict_json(out / "report.json")["asymmetry"]:
+            nulls = {k for k, v in row.items() if v is None}
+            if side == "circulant":
+                assert row["circulant_singular"] is True
+                assert nulls == {"norm_circulant_inverse", "cond_circulant"}
+            else:
+                assert nulls == {"norm_triangular_inverse", "cond_triangular"}
+        cells = (out / "asymmetry.csv").read_text().splitlines()[1].split(",")
+        assert ("inf" in cells[1:4:2]) == (side == "circulant")
+        assert ("inf" in cells[2::2]) == (side == "triangular")
+    with pytest.raises(ValueError):
+        cli._json_text({"x": float("nan")})
+
+
+def test_analyze_overflowing_tail_bound_is_null(runner, tmp_path):
+    # 1 - (z/r)**50 with r = 1.0003: the geometric tail bound after 65536
+    # coefficients overflows, and the report still parses as strict JSON
+    coeffs = ["1"] + ["0"] * 49 + [repr(-(1.0003**-50))]
+    result = runner.invoke(
+        main, ["analyze", "--coeffs", ",".join(coeffs), "--dims", "64", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    block = strict_json(tmp_path / "report.json")["inversion"]
+    assert block["available"] is False
+    assert block["achieved_bound"] is None
+
+
+def test_commands_do_not_import_scipy_signal(tmp_path):
+    # scipy.signal costs over a second to import; no command may pull it in
+    script = textwrap.dedent(
+        """
+        import sys
+        from shiftop.cli import main
+
+        for argv in sys.argv[1:]:
+            try:
+                main(argv.split(), standalone_mode=False)
+            except SystemExit as exc:
+                assert exc.code == 0, (argv, exc.code)
+        print(sorted(m for m in sys.modules if m.startswith("scipy.signal")))
+        """
+    )
+    out = tmp_path / "out"
+    commands = [
+        f"analyze --coeffs 1,-2,0.5 --dims 4,64 --out {out}",
+        f"invert --coeffs 1,-0.5 --out {out}",
+        f"simulate --coeffs 1,-2 --T 500 --out {out}",
+        f"simulate --coeffs 1,-0.5 --T 500 --out {out}",
+    ]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", script, *commands],
+        capture_output=True, text=True, env=env, timeout=300, check=False,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_analyze_rejects_unordered_dims(runner, tmp_path):
@@ -155,6 +269,11 @@ def test_analyze_input_errors(runner, tmp_path):
         ["analyze", "--coeffs-file", str(tmp_path / "missing.json")],
     )
     assert result.exit_code == 2
+
+    # an l1 norm past float max has no JSON number
+    result = runner.invoke(main, ["analyze", "--coeffs", "1e308,1e308", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert "l1 norm overflows" in result.output
 
 
 def test_analyze_coeffs_file_diagnostics(runner, tmp_path):

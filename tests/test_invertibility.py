@@ -1,5 +1,11 @@
+import cmath
+import decimal
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
 
@@ -10,12 +16,15 @@ from shiftop.invertibility import (
     NotInvertibleError,
     TailNotCertifiedError,
     Verdict,
+    WideFloat,
     asymmetry_report,
     classify_roots,
     invert_anticausal,
     invert_causal,
 )
 from shiftop.wiener import ONE, ZERO, WienerElement
+
+from oracles import dense_inverse_norm, series_inverse_oracle
 
 
 def random_polynomial(rng, degree, offset=0):
@@ -366,3 +375,149 @@ def test_asymmetry_csv_layout():
         "cond_circulant,cond_triangular"
     )
     assert lines[1].startswith("4,inf,")
+
+
+# -- the triangular inverse norm without a matrix ------------------------------------
+
+
+def polar(radius, angle):
+    return cmath.rect(radius, angle)
+
+
+# the six root classes of the analyze benchmark, at fixed radii and angles
+BENCH_CLASS_SYMBOLS = [
+    from_roots([polar(1.8, 0.4), polar(2.3, 2.9), polar(1.6, -1.7)]),  # outside_d3
+    from_roots([polar(0.51, 1.1)]),  # inside_half
+    from_roots([polar(0.7, 2.0), polar(1.4, -0.6)]),  # straddle_d2
+    from_roots(
+        [polar(0.8, 0.3), polar(0.75, 2.0), polar(0.85, -1.0)]
+        + [polar(1.3, 0.9), polar(1.9, 1.6), polar(2.2, 3.0), polar(1.5, -2.4)]
+    ),  # mixed_d7
+    WienerElement((1, -(1 + 0.5), 0.5)),  # on_circle: roots 1 and 2
+    from_roots([polar(0.33, -2.2)]),  # inside_third
+]
+
+# roots near the circle, alone, beside a root at 2, and as conjugate pairs on
+# either side (a pair's two top singular values nearly coincide, so a single
+# power vector stalls on it)
+NEAR_CIRCLE_SYMBOLS = [
+    from_roots([1.001]),
+    from_roots([1.01]),
+    from_roots([1.001, 2.0]),
+    from_roots([1.01, 2.0]),
+    from_roots([polar(1.001, 1.0), polar(1.001, -1.0)]),
+    from_roots([polar(0.999, 1.0), polar(0.999, -1.0)]),
+    from_roots([polar(0.99, 1.0), polar(0.99, -1.0)]),
+]
+
+
+@pytest.mark.parametrize("f", SERIES_ROUTE_SYMBOLS + BENCH_CLASS_SYMBOLS + NEAR_CIRCLE_SYMBOLS)
+def test_inverse_norm_matches_dense_svd(f):
+    dims = (8, 64, 256)
+    if f in NEAR_CIRCLE_SYMBOLS:
+        dims += (1024,)
+    for row in asymmetry_report(f, dims):
+        oracle = dense_inverse_norm(f, row.dim)
+        if not math.isfinite(oracle):
+            continue
+        assert_allclose(row.norm_triangular_inverse, oracle, rtol=1e-11)
+        assert row.cond_triangular == row.norm_triangular * row.norm_triangular_inverse
+
+
+def test_inverse_norm_routes():
+    # far outside roots cluster the top singular values: power iteration
+    # runs to its cap and the banded eigenvalue answers
+    far = asymmetry_report(from_roots([3.0, -2.5]), (256,))[0]
+    assert far.inverse_route == "banded"
+    assert far.inverse_steps == inv.INVERSE_NORM_MAX_STEPS
+    assert far.inverse_change > inv.INVERSE_NORM_TOL
+    pair = from_roots([polar(1.001, 1.0), polar(1.001, -1.0)])
+    for f in (from_roots([1.001]), pair, from_roots([0.5]), WienerElement((3,))):
+        row = asymmetry_report(f, (1024,))[0]
+        assert row.inverse_route == "power"
+        assert row.inverse_steps < inv.INVERSE_NORM_MAX_STEPS
+        assert row.inverse_change <= inv.INVERSE_NORM_TOL
+    assert math.isclose(
+        asymmetry_report(WienerElement((3,)), (5,))[0].norm_triangular_inverse, 1 / 3, rel_tol=1e-15
+    )
+    none = asymmetry_report(wiener.monomial(1), (4,))[0]
+    assert (none.inverse_route, none.inverse_steps, none.wide_norm_triangular_inverse) == ("none", 0, None)
+    assert none.wide_cond_triangular is None
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300, -3j])
+def test_inverse_norm_scales_with_the_symbol(scale):
+    # ||T_N(c f)^{-1}|| = ||T_N(f)^{-1}|| / |c|, also where c f or its
+    # inverse leaves float range
+    f = from_roots([polar(0.5, 0.4), 1.7])
+    scaled = WienerElement(tuple(scale * c for c in f.coeffs))
+    for row, base in zip(asymmetry_report(scaled, (8, 1030)), asymmetry_report(f, (8, 1030))):
+        got, want = row.wide_norm_triangular_inverse, base.wide_norm_triangular_inverse
+        ratio = math.ldexp(got.mantissa / want.mantissa, got.exponent - want.exponent)
+        assert math.isclose(ratio, 1 / abs(scale), rel_tol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.floats(1.002, 4.0), st.floats(-math.pi, math.pi)), min_size=1, max_size=3
+    ),
+    dims=st.lists(st.integers(4, 160), min_size=2, max_size=3, unique=True),
+)
+def test_inverse_norm_invertible_property(roots, dims):
+    # the paper's ||T(h)|| = ||h||_inf for h = 1/f in W_+: the compressions'
+    # norms rise with N and stay below 1/min|f| on the circle
+    f = from_roots([polar(r, t) for r, t in roots])
+    grid = 1 << 18
+    low = float(np.abs(wiener.evaluate_on_grid(f, grid)).min()) - wiener.sup_norm_grid_error(f, grid)
+    assume(low > 0)
+    norms = [row.norm_triangular_inverse for row in asymmetry_report(f, sorted(dims))]
+    for smaller, larger in zip(norms, norms[1:]):
+        assert larger >= smaller * (1 - 1e-12)
+    assert norms[-1] <= (1 / low) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("root", [polar(0.5, 0.7), 0.9, polar(0.8, -2.0)])
+def test_inverse_norm_growth_matches_inside_root(root):
+    # a simple root r inside the circle makes ||T_N(f)^{-1}|| grow like |r|**-N
+    f = from_roots([root, 2.0])
+    rows = asymmetry_report(f, (512, 1024, 2048))
+    logs = [row.wide_norm_triangular_inverse.log10() for row in rows]
+    expected = math.log10(1 / abs(root))
+    for (n0, l0), (n1, l1) in zip(zip((512, 1024), logs), zip((1024, 2048), logs[1:])):
+        assert abs((l1 - l0) / (n1 - n0) - expected) <= 1e-9
+    assert rows[-1].norm_triangular_inverse == math.inf or abs(root) > 0.7
+
+
+def test_wide_float_text():
+    assert WideFloat.of(0.1).text() == "0.10000000000000001"
+    assert WideFloat.of(3.0).text() == "3"
+    big = WideFloat(0.75, 1100)  # 3 * 2**1098, past float max
+    assert float(big) == math.inf
+    exact = decimal.Context(prec=17).create_decimal(3 * 2**1098)
+    assert big.text() == f"{exact.normalize():e}"
+    assert float(big.text()) == math.inf
+    assert math.isclose(big.log10(), math.log10(3) + 1098 * math.log10(2), rel_tol=1e-15)
+    assert WideFloat(0.5, 2000).text() == "5.7406534763712726e+601"  # 2**1999
+    assert float(WideFloat.of(2.0) * WideFloat.of(0.75)) == 1.5
+
+
+@pytest.mark.parametrize(
+    "f, length",
+    [
+        (from_roots([1.5, -2.0, 3.0 + 1j]), 300),
+        (from_roots([0.5]), 64),
+        (from_roots([polar(0.8, 1.0), 0.9j, -0.7]), 400),
+        (WienerElement((1 + 0.5j, -0.3 + 0.8j, 0.2 - 0.1j, 0.05j)), 200),
+        (from_roots([1.003 * cmath.exp(1j * t) for t in (0.3, 1.7, -2.5)]), 19885),
+        (from_roots([1.5, -2.0, 3.0 + 1j]), 2),  # shorter than the support
+        (WienerElement((2.0,)), 5),
+    ],
+)
+def test_series_inverse_matches_loop_oracle(f, length):
+    got = inv._series_inverse_prefix(f.to_array(), length)
+    want = series_inverse_oracle(f.to_array(), length)
+    # each coefficient against the largest one so far, so growth hides nothing
+    scale = np.maximum.accumulate(np.abs(want))
+    assert got.shape == (length,)
+    assert np.max(np.abs(got - want) / scale) <= 1e-14
