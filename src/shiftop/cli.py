@@ -189,6 +189,8 @@ def _inversion_block(f: WienerElement, classification, eps: float):
             # the bound itself overflows for a high degree near the circle
             "achieved_bound": bound if math.isfinite(bound) else None,
         }
+    except ValueError as exc:  # inverse coefficients past float max
+        return {"available": False, "reason": str(exc)}
     return {
         "available": True,
         "side": result.side.value,
@@ -237,7 +239,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             {
                 "N": r.dim,
                 # a singular circulant has no inverse norm: null, and the flag
-                "norm_circulant_inverse": None if r.circulant_singular else r.norm_circulant_inverse,
+                "norm_circulant_inverse": _json_number(r.wide_norm_circulant_inverse),
                 "norm_triangular_inverse": _json_number(r.wide_norm_triangular_inverse),
                 "cond_circulant": None if r.circulant_singular else r.cond_circulant,
                 "cond_triangular": _json_number(r.wide_cond_triangular),

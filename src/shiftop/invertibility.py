@@ -121,6 +121,9 @@ def _companion_eigenvalues(coeffs: tuple[complex, ...]) -> np.ndarray:
     q = len(c) - 1
     if q == 0:
         return np.empty(0, dtype=complex)
+    # scale by a power of two first, so that a subnormal c_q cannot overflow the quotients
+    shift = -math.frexp(abs(c[-1]))[1]
+    c.real, c.imag = np.ldexp(c.real, shift), np.ldexp(c.imag, shift)
     companion = np.diag(np.ones(q - 1, dtype=complex), -1)
     companion[0, :] = -(c[:-1][::-1] / c[-1])
     return np.linalg.eigvals(companion)
@@ -185,41 +188,28 @@ def _series_inverse_prefix(coeffs: np.ndarray, length: int) -> np.ndarray:
     return _solve_unilateral(np.repeat(a[:, None], length, axis=1), rhs)[:, 0]
 
 
-def _geometric_tail_bound(rho: float, q: int, a0_abs: float, length: int) -> float:
-    """Certified bound on ``sum_{n >= length} |g_n|`` from the dominant root.
+def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: float) -> tuple[int, float]:
+    """Smallest ``L <= max_len`` whose geometric tail bound is ``<= eps``, and that bound.
 
     Coefficientwise, ``|g_n| <= (1/|a_0|) C(n+q-1, q-1) rho**n`` (majorize
-    every factor ``(1 - z/r_i)**-1`` by the ``rho``-geometric series), and the
-    tail sum is at most the leading term times ``(1 - rho)**-q``.
+    every factor ``(1 - z/r_i)**-1`` by the ``rho``-geometric series), so the
+    tail from ``L`` on is at most the leading term times ``(1 - rho)**-q``.
+    Its base-2 log is formed for every ``L`` at once, so nothing overflows on
+    the way; a bound past float max reads ``inf``.
     """
-    if q == 0:
-        return 0.0
-    # C(length + q - 1, q - 1) computed iteratively alongside rho**length
-    term = 1.0
-    for j in range(1, q):
-        term *= (length + j) / j
-    term *= rho**length / a0_abs
-    return term / (1.0 - rho) ** q
-
-
-def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: float) -> tuple[int, float]:
-    """Smallest ``L <= max_len`` whose geometric tail bound is ``<= eps``."""
-    if q == 0:
-        return 1, 0.0
-    scale = 1.0 / (a0_abs * (1.0 - rho) ** q)
-    # term = C(L+q-1, q-1) rho**L, updated multiplicatively in L
-    term = rho
-    for j in range(1, q):
-        term *= (1 + j) / j
-    for length in range(1, max_len + 1):
-        bound = term * scale
-        if bound <= eps:
-            return length, bound
-        term *= rho * (length + q) / (length + 1)
-    achieved = _geometric_tail_bound(rho, q, a0_abs, max_len)
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    lengths = np.arange(1, max_len + 1)
+    log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
+    log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
+    with np.errstate(over="ignore"):  # a bound past float max reads inf
+        bounds = np.exp2(log2_binomial + lengths * math.log2(rho) - log2_scale)
+    certified = np.flatnonzero(bounds <= eps)
+    if len(certified):
+        return int(certified[0]) + 1, float(bounds[certified[0]])
     raise TailNotCertifiedError(
-        f"tail bound {achieved:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
-        achieved,
+        f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
+        float(bounds[-1]),
         max_len,
     )
 
@@ -233,7 +223,8 @@ def invert_causal(
     the first length whose geometric tail estimate (from the largest
     ``1/|root|``) certifies l1 tail mass at most ``eps``.  Rejects symbols
     whose verdict is not Invertible; raises :class:`TailNotCertifiedError`
-    when ``max_len`` is reached first.
+    when ``max_len`` is reached first, ``ValueError`` when a coefficient of
+    the inverse lies past float max (as for a subnormal ``a_0``).
     """
     classification = classify_roots(f)
     if classification.verdict is not Verdict.INVERTIBLE:
@@ -244,14 +235,15 @@ def invert_causal(
     a = f.to_array()
     q = len(a) - 1
     if q == 0:
-        inverse = WienerElement((1.0 / a[0],))
-        return InversionResult(inverse, InversionSide.CAUSAL, 1, 0.0)
-    rho = float(max(1.0 / np.abs(classification.roots)))
-    length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), float(eps))
-    g = _series_inverse_prefix(a, length)
-    return InversionResult(
-        WienerElement(tuple(g)), InversionSide.CAUSAL, length, bound
-    )
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
+            length, bound, g = 1, 0.0, 1.0 / a
+    else:
+        rho = float(max(1.0 / np.abs(classification.roots)))
+        length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), float(eps))
+        g = _series_inverse_prefix(a, length)
+    if not np.all(np.isfinite(g)):
+        raise ValueError(f"inverse coefficients overflow float range (|a_0| = {abs(a[0]):.3g})")
+    return InversionResult(WienerElement(tuple(g)), InversionSide.CAUSAL, length, bound)
 
 
 def invert_anticausal(
@@ -311,6 +303,11 @@ class WideFloat:
         m, e = math.frexp(self.mantissa * other.mantissa)
         return WideFloat(m, e + self.exponent + other.exponent)
 
+    def reciprocal(self) -> "WideFloat":
+        """``1 / self``, rounded as ``1.0 / float(self)`` rounds within float range."""
+        m, e = math.frexp(1.0 / self.mantissa)
+        return WideFloat(m, e - self.exponent)
+
     def __float__(self) -> float:
         """The value, ``inf`` past float max."""
         if self.exponent > sys.float_info.max_exp:
@@ -343,6 +340,8 @@ class AsymmetryRow:
     ``norm_triangular_inverse`` and ``cond_triangular`` read ``inf`` past
     float max, and when ``a_0 = 0``; ``wide_norm_triangular_inverse`` holds
     the same norm exactly past float max too (``None`` when ``a_0 = 0``).
+    Likewise ``wide_norm_circulant_inverse`` holds ``norm_circulant_inverse``
+    past float max, as for a subnormal symbol (``None`` when singular).
     ``inverse_route`` names what answered that norm: ``"power"`` (block
     power iteration), ``"banded"`` (the banded Gram eigenvalue, after power
     iteration did not settle on an Invertible symbol) or ``"none"``
@@ -361,6 +360,7 @@ class AsymmetryRow:
     inverse_route: str
     inverse_steps: int
     inverse_change: float
+    wide_norm_circulant_inverse: WideFloat | None
 
     @property
     def wide_cond_triangular(self) -> WideFloat | None:
@@ -435,7 +435,8 @@ def _triangular_inverse_norm(
             gram, scale = operators._gram_band(f, dim)
             lowest = eigvals_banded(gram, lower=True, select="i", select_range=(0, 0))[0]
             if lowest > 0:
-                return WideFloat.of(1.0 / (scale * math.sqrt(lowest))), "banded", step, change
+                wide = (WideFloat.of(scale) * WideFloat.of(math.sqrt(lowest))).reciprocal()
+                return wide, "banded", step, change
     mantissa, exponent = math.frexp(sigma)
     return WideFloat(mantissa, exponent + int(e[-1]) - t), "power", step, change
 
@@ -480,12 +481,9 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         smallest = float(spectrum.min())
         largest = float(spectrum.max())
         singular = smallest == 0.0
-        if singular:
-            norm_circ_inv = float("inf")
-            cond_circ = float("inf")
-        else:
-            norm_circ_inv = 1.0 / smallest
-            cond_circ = largest / smallest
+        wide_circ = None if singular else WideFloat.of(smallest).reciprocal()
+        norm_circ_inv = math.inf if singular else float(wide_circ)
+        cond_circ = math.inf if singular else largest / smallest
         norm_tri = operators.compression_norm(f, dim)
         if a0 == 0:
             wide, route, steps, change = None, "none", 0, 0.0
@@ -497,7 +495,7 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         rows.append(
             AsymmetryRow(
                 dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular,
-                norm_tri, wide, route, steps, change,
+                norm_tri, wide, route, steps, change, wide_circ,
             )
         )
     return rows
@@ -512,7 +510,7 @@ def asymmetry_csv(rows) -> str:
     lines = ["N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular"]
     for r in rows:
         lines.append(
-            f"{r.dim},{r.norm_circulant_inverse:.17g},"
+            f"{r.dim},{_csv_cell(r.norm_circulant_inverse, r.wide_norm_circulant_inverse)},"
             f"{_csv_cell(r.norm_triangular_inverse, r.wide_norm_triangular_inverse)},"
             f"{r.cond_circulant:.17g},{_csv_cell(r.cond_triangular, r.wide_cond_triangular)}"
         )

@@ -10,7 +10,9 @@ f-string per row, the reference for the block encoder in
 power-series inverse recursion one coefficient at a time, the reference for
 the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
 ``dense_inverse_norm`` takes ``||T_N(f)^{-1}||`` from a dense SVD of the
-Toeplitz matrix of that series.
+Toeplitz matrix of that series.  ``certified_length_oracle`` walks the
+geometric tail bound one length at a time, the reference for the log-space
+``shiftop.invertibility._certified_length``.
 """
 
 import numpy as np
@@ -90,3 +92,22 @@ def dense_inverse_norm(f: WienerElement, dim: int) -> float:
     if not np.any(matrix.imag):
         matrix = matrix.real
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def certified_length_oracle(rho: float, q: int, a0_abs: float, max_len: int, eps: float):
+    """``(L, bound)`` for the smallest ``L <= max_len`` with tail bound ``<= eps``, else None.
+
+    The bound ``C(L+q-1, q-1) rho**L / (|a_0| (1 - rho)**q)`` is updated
+    multiplicatively in ``L``; it may overflow to inf.
+    """
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        scale = 1.0 / (a0_abs * (1.0 - rho) ** q)
+        term = rho  # C(L+q-1, q-1) rho**L at L = 1
+        for j in range(1, q):
+            term *= (1 + j) / j
+        for length in range(1, max_len + 1):
+            bound = term * scale
+            if bound <= eps:
+                return length, bound
+            term *= rho * (length + q) / (length + 1)
+    return None

@@ -173,6 +173,32 @@ def test_analyze_overflowing_tail_bound_is_null(runner, tmp_path):
     assert block["achieved_bound"] is None
 
 
+def test_subnormal_coefficients(runner, tmp_path):
+    # 1e-310 (1 + 0.1 z): the companion matrix is scaled by a power of two,
+    # so the root -10 is found; 1/f starts at 1e310, past float max, so
+    # analyze reports no inverse and invert exits 2 naming the overflow
+    coeffs = "1e-310,1e-311"
+    result = runner.invoke(
+        main, ["analyze", "--coeffs", coeffs, "--dims", "4,16", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    report = strict_json(tmp_path / "report.json")
+    (root,) = report["roots"]["values"]
+    assert abs(complex(*root) + 10) < 1e-12
+    assert report["roots"]["verdict"] == "Invertible"
+    assert report["inversion"] == {
+        "available": False,
+        "reason": "inverse coefficients overflow float range (|a_0| = 1e-310)",
+    }
+    # 1 / min|f| = 1 / 0.9e-310 on the circulant side, a literal past float max
+    text = (tmp_path / "report.json").read_text()
+    literal = re.search(r'"norm_circulant_inverse": (\d\.\d+e\+\d+),\n', text).group(1)
+    assert abs(decimal.Decimal(literal) * decimal.Decimal("0.9e-310") - 1) < decimal.Decimal("1e-12")
+    result = runner.invoke(main, ["invert", "--coeffs", coeffs, "--out", str(tmp_path / "inv")])
+    assert result.exit_code == 2
+    assert "inverse coefficients overflow float range" in result.output
+
+
 def test_commands_do_not_import_scipy_signal(tmp_path):
     # scipy.signal costs over a second to import; no command may pull it in
     script = textwrap.dedent(

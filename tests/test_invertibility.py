@@ -24,7 +24,7 @@ from shiftop.invertibility import (
 )
 from shiftop.wiener import ONE, ZERO, WienerElement
 
-from oracles import dense_inverse_norm, series_inverse_oracle
+from oracles import certified_length_oracle, dense_inverse_norm, series_inverse_oracle
 
 
 def random_polynomial(rng, degree, offset=0):
@@ -209,6 +209,35 @@ def test_invert_tail_certificate_failure():
     # a longer budget certifies the same symbol
     ok = invert_causal(f, max_len=40000, eps=1e-10)
     assert ok.tail_bound <= 1e-10
+
+
+def test_certified_length_matches_stepwise_oracle():
+    # the log-space certificate picks the same length as a multiplicative
+    # walk over L, and its bound agrees to rounding
+    rng = np.random.default_rng(36)
+    for _ in range(200):
+        rho = 1 - 10 ** rng.uniform(-3, -0.05)
+        q = int(rng.integers(1, 9))
+        a0 = 10 ** rng.uniform(-3, 3)
+        eps = 10 ** rng.uniform(-14, -4)
+        expected = certified_length_oracle(rho, q, a0, 4096, eps)
+        if expected is None:
+            with pytest.raises(TailNotCertifiedError):
+                inv._certified_length(rho, q, a0, 4096, eps)
+            continue
+        length, bound = inv._certified_length(rho, q, a0, 4096, eps)
+        assert length == expected[0]
+        assert bound == pytest.approx(expected[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("q", [50, 200])
+def test_tail_bound_past_float_max_reads_inf(q):
+    # 1 - (z/1.0003)**q: C(L+q-1, q-1) / (1 - rho)**q passes float max; the
+    # bound reads inf, and no overflow warning is raised on the way
+    f = WienerElement((1,) + (0,) * (q - 1) + (-(1.0003**-q),))
+    with pytest.raises(TailNotCertifiedError) as excinfo:
+        invert_causal(f, max_len=65536)
+    assert excinfo.value.achieved_bound == math.inf
 
 
 # -- anticausal inversion ---------------------------------------------------------

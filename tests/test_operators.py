@@ -2,7 +2,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -247,6 +247,7 @@ def test_compression_norm_exact_cases_and_errors():
     st.integers(0, 3),
     st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
 )
+@example(coeffs=[52j, 1e-14, 1e-14], offset=1, dims=[32])  # LAPACK hbevx fails here
 def test_compression_norm_bracket_and_monotone_property(coeffs, offset, dims):
     # ||T_N(f)|| lies between the l2 and l1 norms of its first column, and
     # grows with N because each matrix is the leading block of the next

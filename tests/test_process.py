@@ -1,3 +1,4 @@
+import cmath
 import json
 import math
 
@@ -9,7 +10,7 @@ from numpy.testing import assert_allclose
 from oracles import sample_csv_oracle
 
 from shiftop import process, wiener
-from shiftop.invertibility import NotInvertibleError
+from shiftop.invertibility import NotInvertibleError, Verdict
 from shiftop.process import (
     divergence_demo,
     ergodic_mean_check,
@@ -269,7 +270,6 @@ def test_wold_order_zero_is_white_noise():
     est = wold_estimate((2.25,), 0)
     assert est.transfer == ONE
     assert est.sigma2 == 2.25
-    assert est.n_iterations == 0
 
 
 def test_wold_round_trip_ma2():
@@ -296,11 +296,137 @@ def test_wold_rejects_invalid_autocovariances():
         wold_estimate((1.0,), -1)
 
 
-def test_wold_boundary_does_not_converge():
-    # gamma of (1, -1): the factorization sits on the circle and the
-    # iteration must report failure rather than return a bogus answer
-    with pytest.raises(RuntimeError, match="converge"):
-        wold_estimate((2.0, -1.0), 1, max_iterations=100)
+def test_wold_boundary_reads_borderline():
+    # gamma of (1, -1): the factor's root sits on the circle, a double root
+    # of z gamma(z) that floating point splits; the estimate is still returned
+    est = wold_estimate((2.0, -1.0), 1)
+    assert est.verdict is Verdict.BORDERLINE
+    assert_allclose(est.transfer.to_array().real, [1.0, -1.0], rtol=0, atol=1e-6)
+    assert abs(est.sigma2 - 1.0) <= 1e-6
+
+
+def transfer_from_roots(roots) -> WienerElement:
+    """``prod (1 - z/r)`` with real coefficients and ``a_0 = 1``."""
+    return WienerElement(tuple(np.poly(1 / np.asarray(roots)).real))
+
+
+def factor_jacobian(a) -> np.ndarray:
+    """Jacobian of ``a -> (sum_j a_j a_{j+k})_{k=0..q}``, the map a Wold factor inverts.
+
+    Machine precision times its condition number is the error to expect
+    from any floating-point factorization of the autocovariances.
+    """
+    q = len(a) - 1
+    jac = np.zeros((q + 1, q + 1))
+    for k in range(q + 1):
+        jac[k, k:] += a[: q + 1 - k]
+        jac[k, : q + 1 - k] += a[k:]
+    return jac
+
+
+def wold_error(f: WienerElement, sigma: float) -> tuple[float, float, object]:
+    """Recover ``f`` from its exact autocovariances: coefficient and sigma**2 errors, verdict."""
+    a = f.to_array().real
+    q = len(a) - 1
+    est = wold_estimate(ma_autocovariance(f, sigma, q), q)
+    got = np.array([est.transfer.coeff(k).real for k in range(q + 1)])
+    return float(np.max(np.abs(got - a))), abs(est.sigma2 - sigma**2) / sigma**2, est.verdict
+
+
+@pytest.mark.parametrize("theta", [0.97, 0.99, 0.999, -0.999])
+def test_wold_ma1_near_circle_accuracy(theta):
+    coeff_err, sigma2_err, verdict = wold_error(WienerElement((1, theta)), 1.0)
+    assert coeff_err <= 1e-12
+    assert sigma2_err <= 1e-12
+    assert verdict is Verdict.INVERTIBLE
+
+
+def test_wold_ma4_accuracy():
+    rng = np.random.default_rng(35)
+    for _ in range(10):
+        roots = []
+        for _ in range(2):
+            r = rng.uniform(1.3, 2.0) * np.exp(1j * rng.uniform(0, np.pi))
+            roots += [r, r.conjugate()]
+        coeff_err, sigma2_err, verdict = wold_error(transfer_from_roots(roots), rng.uniform(0.5, 2.0))
+        assert coeff_err <= 1e-12
+        assert sigma2_err <= 1e-12
+        assert verdict is Verdict.INVERTIBLE
+
+
+@pytest.mark.parametrize(
+    "f",
+    [WienerElement((1, 1 - 1e-6)), transfer_from_roots([1.001 * cmath.exp(1j), 1.001 * cmath.exp(-1j)])],
+    ids=["theta_1_minus_1e-6", "pair_1e-3_outside"],
+)
+def test_wold_near_circle_reads_invertible(f):
+    # a root this close to the circle is still resolved: no false Borderline
+    coeff_err, sigma2_err, verdict = wold_error(f, 1.0)
+    assert verdict is Verdict.INVERTIBLE
+    assert coeff_err <= 1e-9
+    assert sigma2_err <= 1e-9
+
+
+def test_wold_order_above_the_true_order():
+    # gamma vanishes past lag 1: the zero lags add no roots
+    est = wold_estimate(ma_autocovariance(MA1, 1.0, 3), 3)
+    assert_allclose(est.transfer.to_array().real, [1.0, 0.5], rtol=0, atol=1e-15)
+    assert est.verdict is Verdict.INVERTIBLE
+
+
+@pytest.mark.parametrize(
+    "f",
+    [WienerElement((1, -2 * math.cos(1.0), 1)), WienerElement((1, 1 - 1e-8))],
+    ids=["pair_on_circle", "theta_1_minus_1e-8"],
+)
+def test_wold_merged_pairs_read_borderline(f):
+    coeff_err, sigma2_err, verdict = wold_error(f, 1.0)
+    assert verdict is Verdict.BORDERLINE
+    assert coeff_err <= 1e-6
+    assert sigma2_err <= 1e-6
+
+
+def test_wold_rejects_negative_spectral_density():
+    # 1 + 1.2 cos(w) < 0 near w = pi, yet the 2 x 2 matrix is positive definite
+    with pytest.raises(ValueError, match="do not extend to a valid MA model"):
+        wold_estimate((1.0, 0.6), 1)
+
+
+def test_wold_subnormal_autocovariances():
+    # gamma of 1 + 0.1 z with sigma**2 = 1e-310
+    est = wold_estimate((1.01e-310, 1e-311), 1)
+    assert abs(est.transfer.coeff(1) - 0.1) <= 1e-12
+    assert abs(est.sigma2 - 1e-310) <= 1e-12 * 1e-310
+    assert est.verdict is Verdict.INVERTIBLE
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(1.05, 3.0), st.floats(0.0, math.pi), st.booleans()),
+        min_size=1,
+        max_size=5,
+    ),
+    st.floats(0.25, 4.0),
+)
+def test_wold_round_trip_property(draws, sigma):
+    # each draw adds a conjugate pair or a real root (sign from the angle), to degree 5
+    roots = []
+    for modulus, angle, pair in draws:
+        if pair and len(roots) <= 3:
+            roots += [cmath.rect(modulus, angle), cmath.rect(modulus, -angle)]
+        elif len(roots) < 5:
+            roots.append(modulus if angle < math.pi / 2 else -modulus)
+    f = transfer_from_roots(roots)
+    coeff_err, sigma2_err, verdict = wold_error(f, sigma)
+    # repeated roots near the circle make the factorization itself
+    # ill-conditioned (a 4-fold root at 1.05: condition 4e10), so the bound
+    # is relative to its condition number, not fixed
+    slack = 64 * np.finfo(float).eps * np.linalg.cond(factor_jacobian(f.to_array().real))
+    assert coeff_err <= slack
+    assert sigma2_err <= slack
+    if slack <= 1e-6:
+        assert verdict is Verdict.INVERTIBLE
 
 
 # -- export formats -----------------------------------------------------------------
