@@ -124,9 +124,13 @@ def _resolve_seed(seed: int) -> int:
         raise InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _write_text(path: Path, text: str) -> None:
+def _write_text(path: Path, text: str | bytes | bytearray) -> None:
+    """Write ``text`` through a temporary file; bytes-like content goes out as is."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    if isinstance(text, str):
+        tmp.write_text(text)
+    else:
+        tmp.write_bytes(text)
     os.replace(tmp, path)
 
 

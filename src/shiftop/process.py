@@ -135,23 +135,69 @@ def simulate(f: WienerElement, sigma: float, t_len: int, seed: int) -> ProcessSa
     return ProcessSample(path, eps, sigma, f, seed)
 
 
+# Rows per leaf of the MSE ladder: all cutoffs run on one leaf while it sits in
+# cache.  Above numpy's 128-element pairwise block, so a leaf's sum is exactly
+# the subtree numpy's pairwise summation forms over the same rows.
+_LADDER_LEAF = 16384
+
+
+def _pairwise_leaves(n: int) -> list[int]:
+    """Lengths, in order, of the leaves numpy's pairwise sum of ``n`` values splits into.
+
+    numpy halves a run of more than 128 values at ``n // 2`` rounded down to a
+    multiple of 8; the same split stops here at ``_LADDER_LEAF`` values.
+    """
+    if n <= _LADDER_LEAF:
+        return [n]
+    half = n // 2
+    half -= half % 8
+    return _pairwise_leaves(half) + _pairwise_leaves(n - half)
+
+
+def _pairwise_total(leaf_sums, n: int):
+    """Add the leaf sums (an iterator, in leaf order) up the tree of :func:`_pairwise_leaves`."""
+    if n <= _LADDER_LEAF:
+        return next(leaf_sums)
+    half = n // 2
+    half -= half % 8
+    left = _pairwise_total(leaf_sums, half)
+    return left + _pairwise_total(leaf_sums, n - half)
+
+
 def _ar_ladder_mse(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[tuple[int, float]]:
     """MSE of ``eps_hat = X_t - sum_{n<=M} b_n X_{t-n}`` for ``M = 0 .. max_lag``.
 
     All cutoffs are scored on the common window ``t >= max_lag`` so the
-    ladder is comparable row to row.
+    ladder is comparable row to row.  The window is scored leaf by leaf, every
+    cutoff on one leaf before the next, in the operation order of the whole
+    path ladder (filter terms, then the target, then the square); leaf sums
+    added up numpy's pairwise tree make each MSE equal ``np.mean`` over the
+    whole window bit for bit.
     """
     t_len = sample.t_len
     if max_lag >= t_len:
         raise ValueError(f"max_lag {max_lag} needs a path longer than {t_len}")
     path = sample.path
     target = sample.aligned_innovations[max_lag:]
-    eps_hat = path[max_lag:].copy()
-    rows = [(0, float(np.mean((eps_hat - target) ** 2)))]
-    for m in range(1, max_lag + 1):
-        eps_hat -= b[m] * path[max_lag - m : t_len - m]
-        rows.append((m, float(np.mean((eps_hat - target) ** 2))))
-    return rows
+    n = t_len - max_lag
+    leaves = _pairwise_leaves(n)
+    sums = np.empty((len(leaves), max_lag + 1))
+    eps_buf, term_buf, err_buf = (np.empty(max(leaves)) for _ in range(3))
+    lo = 0
+    for leaf, size in enumerate(leaves):
+        eps_hat, term, err = eps_buf[:size], term_buf[:size], err_buf[:size]
+        hi = lo + size
+        np.copyto(eps_hat, path[max_lag + lo : max_lag + hi])
+        for m in range(max_lag + 1):
+            if m:
+                np.multiply(b[m], path[max_lag - m + lo : max_lag - m + hi], out=term)
+                np.subtract(eps_hat, term, out=eps_hat)
+            np.subtract(eps_hat, target[lo:hi], out=err)
+            np.square(err, out=err)
+            sums[leaf, m] = err.sum()
+        lo = hi
+    mse = _pairwise_total(iter(sums), n) / n
+    return [(m, float(mse[m])) for m in range(max_lag + 1)]
 
 
 @dataclass(frozen=True)
@@ -570,12 +616,16 @@ def _encode_rows(t0: int, path: np.ndarray, eps: np.ndarray, t_words: int) -> by
     t_bytes[:, 0] = ord("\n")
     rows[:, t_words : t_words + _CELL_WORDS] = _encode_cells(path)
     rows[:, t_words + _CELL_WORDS :] = _encode_cells(eps)
-    flat = rows.view(np.uint8).ravel()
-    return np.compress(flat != 0, flat).tobytes()
+    return rows.tobytes().translate(None, b"\0")
 
 
-def sample_to_csv(sample: ProcessSample) -> str:
-    """CSV with header ``t,X_t,eps_t`` ('.' decimal separator, %.17g cells)."""
+def sample_to_csv(sample: ProcessSample) -> bytearray:
+    """CSV with header ``t,X_t,eps_t`` ('.' decimal separator, %.17g cells), as ASCII bytes.
+
+    Every cell is byte for byte the text of ``format(x, ".17g")``.  The
+    buffer is returned as built, with no decode to ``str``, so the caller can
+    write it to disk without a copy.
+    """
     path = sample.path
     eps = sample.aligned_innovations
     t_words = -(-(len(str(sample.t_len - 1)) + 1) // 8)  # '\n' and the digits of t
@@ -586,7 +636,7 @@ def sample_to_csv(sample: ProcessSample) -> str:
         block = slice(t0, t0 + CSV_BLOCK_ROWS)
         text += _encode_rows(t0, path[block], eps[block], t_words)
     text += b"\n"
-    return text.decode("ascii")
+    return text
 
 
 def metadata_sidecar(sample: ProcessSample) -> dict:

@@ -189,8 +189,9 @@ def multiply(f: WienerElement, g: WienerElement) -> WienerElement:
 
 
 def l1_norm(f: WienerElement) -> float:
-    """Sum of coefficient moduli, the algebra norm."""
-    return float(np.sum(np.abs(f.to_array())))
+    """Sum of coefficient moduli, the algebra norm; inf once it passes float max."""
+    with np.errstate(over="ignore"):  # callers reject an infinite norm
+        return float(np.sum(np.abs(f.to_array())))
 
 
 def _evaluate_unchecked(f: WienerElement, z):

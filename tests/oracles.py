@@ -12,7 +12,11 @@ the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
 ``dense_inverse_norm`` takes ``||T_N(f)^{-1}||`` from a dense SVD of the
 Toeplitz matrix of that series.  ``certified_length_oracle`` walks the
 geometric tail bound one length at a time, the reference for the log-space
-``shiftop.invertibility._certified_length``.
+``shiftop.invertibility._certified_length``.  ``ar_ladder_oracle`` scores the
+reconstruction MSE ladder with one ``np.mean`` over the whole path per cutoff,
+the reference that the leaf-blocked ``shiftop.process._ar_ladder_mse`` must
+match bit for bit.  ``sample_csv_oracle`` returns ``str``; the encoder returns
+ASCII bytes, which the tests decode before comparing.
 """
 
 import numpy as np
@@ -111,3 +115,22 @@ def certified_length_oracle(rho: float, q: int, a0_abs: float, max_len: int, eps
                 return length, bound
             term *= rho * (length + q) / (length + 1)
     return None
+
+
+def ar_ladder_oracle(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[tuple[int, float]]:
+    """MSE of ``eps_hat = X_t - sum_{n<=M} b_n X_{t-n}`` for ``M = 0 .. max_lag``.
+
+    All cutoffs are scored on the common window ``t >= max_lag``, each with
+    one pass over the whole window.
+    """
+    t_len = sample.t_len
+    if max_lag >= t_len:
+        raise ValueError(f"max_lag {max_lag} needs a path longer than {t_len}")
+    path = sample.path
+    target = sample.aligned_innovations[max_lag:]
+    eps_hat = path[max_lag:].copy()
+    rows = [(0, float(np.mean((eps_hat - target) ** 2)))]
+    for m in range(1, max_lag + 1):
+        eps_hat -= b[m] * path[max_lag - m : t_len - m]
+        rows.append((m, float(np.mean((eps_hat - target) ** 2))))
+    return rows

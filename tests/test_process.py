@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from oracles import sample_csv_oracle
+from oracles import ar_ladder_oracle, sample_csv_oracle
 
 from shiftop import process, wiener
 from shiftop.invertibility import NotInvertibleError, Verdict
@@ -132,6 +132,56 @@ def test_reconstruction_validation():
         reconstruct_innovations(sample, 0)
     with pytest.raises(ValueError):
         reconstruct_innovations(sample, 50)
+
+
+# -- MSE ladder against the whole-path oracle --------------------------------------
+
+LEAF = process._LADDER_LEAF
+
+
+def _ladder_lengths(max_lag: int) -> tuple[int, ...]:
+    # one scored row, a few rows, one leaf less one row, one leaf, one leaf
+    # plus one row, and a long path of many leaves
+    return tuple(max_lag + n for n in (1, 9, LEAF - 1, LEAF, LEAF + 1)) + (200_003,)
+
+
+@pytest.mark.parametrize("max_lag", (1, 3, 57, 200))
+def test_reconstruction_ladder_matches_oracle_exactly(max_lag):
+    for t_len in _ladder_lengths(max_lag):
+        sample = simulate(MA1, 1.0, t_len, 11)
+        report = reconstruct_innovations(sample, max_lag)
+        b = np.array((0.0, *report.ar_coeffs))
+        assert report.mse_per_cutoff == tuple(ar_ladder_oracle(sample, b, max_lag)), t_len
+
+
+@pytest.mark.parametrize("max_lag", (1, 3, 57, 200))
+def test_divergence_ladder_matches_oracle_exactly(max_lag):
+    b = formal_ar_coefficients(WINDOW, max_lag)
+    for t_len in _ladder_lengths(max_lag):
+        rows = divergence_demo(WINDOW, max_lag, seed=12, t_len=t_len)
+        assert rows == ar_ladder_oracle(simulate(WINDOW, 1.0, t_len, 12), b, max_lag), t_len
+
+
+def test_long_ladder_matches_oracle_exactly():
+    sample = simulate(WienerElement((1, -0.6, 0.3)), 1.0, 10**6, 13)
+    report = reconstruct_innovations(sample, 200)
+    b = np.array((0.0, *report.ar_coeffs))
+    assert report.mse_per_cutoff == tuple(ar_ladder_oracle(sample, b, 200))
+
+
+@pytest.mark.parametrize(
+    "n", (1, 7, 8, 127, 128, 129, LEAF - 1, LEAF, LEAF + 1, 999_800, 10**6)
+)
+def test_pairwise_leaves_reproduce_numpy_sum(n):
+    # magnitudes over twelve decades, so a different summation order shows
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+    leaves = process._pairwise_leaves(n)
+    assert sum(leaves) == n
+    assert max(leaves) <= LEAF
+    stops = np.cumsum(leaves)
+    leaf_sums = (x[stop - size : stop].sum() for size, stop in zip(leaves, stops))
+    assert process._pairwise_total(leaf_sums, n) == np.sum(x)
 
 
 # -- divergence of the formal inverse ---------------------------------------------
@@ -434,7 +484,10 @@ def test_wold_round_trip_property(draws, sigma):
 
 def test_sample_csv_layout():
     sample = simulate(MA1, 1.0, 3, 0)
-    lines = process.sample_to_csv(sample).strip().splitlines()
+    csv = process.sample_to_csv(sample)
+    assert isinstance(csv, (bytes, bytearray))
+    assert csv.isascii()
+    lines = csv.decode("ascii").strip().splitlines()
     assert lines[0] == "t,X_t,eps_t"
     assert len(lines) == 4
     t, x, e = lines[1].split(",")
@@ -459,7 +512,7 @@ def test_sample_csv_matches_row_oracle(f, sigma):
     # formatting, 1e20 most of them
     longest = sample_csv_oracle(simulate(f, sigma, max(CSV_LENGTHS), 17)).splitlines()
     for t_len in CSV_LENGTHS:
-        text = process.sample_to_csv(simulate(f, sigma, t_len, 17))
+        text = process.sample_to_csv(simulate(f, sigma, t_len, 17)).decode("ascii")
         assert text == "\n".join(longest[: t_len + 1]) + "\n", t_len
 
 
@@ -467,7 +520,7 @@ def _csv_cells(values) -> list[str]:
     """The X_t column of ``sample.csv`` for a path equal to ``values``."""
     path = np.asarray(values, dtype=float)
     sample = process.ProcessSample(path, path, 1.0, ONE, 0)
-    rows = process.sample_to_csv(sample).splitlines()[1:]
+    rows = process.sample_to_csv(sample).decode("ascii").splitlines()[1:]
     assert [r.split(",")[1] for r in rows] == [r.split(",")[2] for r in rows]
     return [r.split(",")[1] for r in rows]
 
