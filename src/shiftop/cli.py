@@ -10,12 +10,13 @@ exact round-trip repr, and all randomness is keyed by the seed.  JSON is
 strict (RFC 8259): a value with no finite float is ``null``, and a norm past
 float max is a decimal literal with 17 significant digits.
 
-Exit codes: 0 success, 2 invalid input, 3 borderline symbol (root on the
-circle), 4 truncation tail not certified.
+Exit codes: 0 success, 2 invalid input, 3 borderline symbol (a root on the
+circle within ``--tol``), 4 truncation tail not certified.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -169,17 +170,9 @@ def _complex_pairs(values) -> list[list[float]]:
 
 def _inversion_block(f: WienerElement, classification, eps: float):
     """Inverse coefficients for the analyze report, when one side applies."""
-    verdict = classification.verdict
-    if verdict is Verdict.INVERTIBLE:
-        side = InversionSide.CAUSAL
-    elif (
-        classification.on_circle == 0
-        and classification.outside == 0
-        and f.degree >= 1
-    ):
-        side = InversionSide.ANTICAUSAL
-    else:
-        return {"available": False, "reason": f"verdict {verdict.value}"}
+    side = classification.side
+    if side is None:
+        return {"available": False, "reason": f"verdict {classification.verdict.value}"}
     try:
         if side is InversionSide.CAUSAL:
             result = invertibility.invert_causal(f, INVERT_MAX_LEN, eps)
@@ -278,28 +271,24 @@ def cmd_invert(config: AnalysisConfig, side: str = "auto") -> int:
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
-    if side == "auto":
-        if classification.verdict is Verdict.INVERTIBLE:
-            side = "causal"
-        elif classification.on_circle > 0:
-            click.echo(
-                "borderline symbol: a root lies on the unit circle within "
-                f"tol {classification.tol:.6g}; no summable inverse on either side",
-                err=True,
-            )
-            return EXIT_BORDERLINE
-        elif classification.outside == 0:
-            side = "anticausal"
-        else:
-            click.echo(
-                "error: roots on both sides of the circle "
-                f"({classification.inside} inside, {classification.outside} outside); "
-                "no one-sided inverse exists",
-                err=True,
-            )
-            return EXIT_INPUT_ERROR
+    if classification.on_circle > 0:
+        click.echo(
+            "borderline symbol: a root lies on the unit circle within "
+            f"tol {classification.tol:.6g}; no summable inverse on either side",
+            err=True,
+        )
+        return EXIT_BORDERLINE
+    side = classification.side if side == "auto" else InversionSide(side)
+    if side is None:
+        click.echo(
+            "error: roots on both sides of the circle "
+            f"({classification.inside} inside, {classification.outside} outside); "
+            "no one-sided inverse exists",
+            err=True,
+        )
+        return EXIT_INPUT_ERROR
     try:
-        if side == "causal":
+        if side is InversionSide.CAUSAL:
             result = invertibility.invert_causal(f, INVERT_MAX_LEN, config.eps)
         else:
             result = invertibility.invert_anticausal(f, INVERT_MAX_LEN, config.eps)
@@ -354,21 +343,17 @@ def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
         ergodic_rows = process.ergodic_mean_check(
             f, config.sigma, _ergodic_ladder(config.t_len), config.seed
         )
+        verdict = classification.verdict
         table_name = None
-        table_text = None
-        if classification.verdict is Verdict.INVERTIBLE and max_lag >= 1:
-            report = process.reconstruct_innovations(sample, max_lag)
-            table_name = "reconstruction.csv"
-            table_text = process.reconstruction_csv(report)
-        elif classification.inside > 0 and classification.on_circle == 0 and max_lag >= 1:
-            rows = process._divergence_ladder(sample, max_lag)
-            table_name = "divergence.csv"
-            table_text = process.divergence_csv(rows)
-    except (ValueError, TailNotCertifiedError) as exc:
+        if verdict is not Verdict.BORDERLINE and max_lag >= 1:
+            report = process._formal_reconstruction(sample, max_lag)
+            invertible = verdict is Verdict.INVERTIBLE
+            table_name = "reconstruction.csv" if invertible else "divergence.csv"
+    except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
     metadata = process.metadata_sidecar(sample)
-    metadata["verdict"] = classification.verdict.value
+    metadata["verdict"] = verdict.value
     metadata["max_lag"] = max_lag
     files = ["sample.csv", "ergodicity.csv", "metadata.json"]
     if table_name is not None:
@@ -379,24 +364,38 @@ def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
     _write_text(out / "sample.csv", process.sample_to_csv(sample))
     _write_text(out / "ergodicity.csv", process.ergodic_csv(ergodic_rows))
     if table_name is not None:
-        _write_text(out / table_name, table_text)
+        _write_text(out / table_name, process.reconstruction_csv(report))
     _write_text(out / "metadata.json", _json_text(metadata))
     click.echo(
         f"simulated {config.t_len} steps (seed {config.seed}, sigma {config.sigma:.6g}), "
-        f"verdict {classification.verdict.value}"
+        f"verdict {verdict.value}"
     )
-    if table_name == "reconstruction.csv":
-        last = report.mse_per_cutoff[-1]
-        click.echo(f"reconstruction MSE at M={last[0]}: {last[1]:.6g}")
-    elif table_name == "divergence.csv":
-        click.echo(f"divergent reconstruction: MSE at M={rows[-1][0]}: {rows[-1][1]:.6g}")
-    else:
+    if table_name is None:
         click.echo("no reconstruction table: symbol sits on the invertibility boundary")
+    else:
+        m, mse = report.mse_per_cutoff[-1]
+        what = "reconstruction" if invertible else "divergent reconstruction:"
+        click.echo(f"{what} MSE at M={m}: {mse:.6g}")
     click.echo(f"wrote {', '.join(files)} to {out}")
     return EXIT_OK
 
 
 # -- click wiring -----------------------------------------------------------
+
+
+def _exits(command):
+    """Exit with the code ``command`` returns; an :class:`InputError` exits 2."""
+
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            code = command(*args, **kwargs)
+        except InputError as exc:
+            click.echo(f"error: {exc}", err=True)
+            code = EXIT_INPUT_ERROR
+        sys.exit(code)
+
+    return run
 
 
 def _symbol_options(fn):
@@ -423,21 +422,18 @@ def main():
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
 @click.option("--eps", default=1e-10, show_default=True, help="Inverse tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
+@_exits
 def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
     """Classify roots, measure norms, and tabulate truncation behavior."""
-    try:
-        config = AnalysisConfig(
-            coeffs=_resolve_symbol(coeffs, coeffs_file),
-            dims=_parse_dims(dims),
-            grid_size=grid,
-            tol=tol,
-            eps=eps,
-            out_dir=Path(out),
-        )
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(cmd_analyze(config))
+    config = AnalysisConfig(
+        coeffs=_resolve_symbol(coeffs, coeffs_file),
+        dims=_parse_dims(dims),
+        grid_size=grid,
+        tol=tol,
+        eps=eps,
+        out_dir=Path(out),
+    )
+    return cmd_analyze(config)
 
 
 @main.command("invert")
@@ -452,19 +448,16 @@ def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
 @click.option("--eps", default=1e-10, show_default=True, help="Tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
+@_exits
 def invert_command(coeffs, coeffs_file, side, tol, eps, out):
     """Write a certified truncated inverse as a JSON coefficient file."""
-    try:
-        config = AnalysisConfig(
-            coeffs=_resolve_symbol(coeffs, coeffs_file),
-            tol=tol,
-            eps=eps,
-            out_dir=Path(out),
-        )
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(cmd_invert(config, side))
+    config = AnalysisConfig(
+        coeffs=_resolve_symbol(coeffs, coeffs_file),
+        tol=tol,
+        eps=eps,
+        out_dir=Path(out),
+    )
+    return cmd_invert(config, side)
 
 
 @main.command("simulate")
@@ -475,21 +468,18 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
 @click.option("--max-lag", default=20, show_default=True, help="Largest reconstruction cutoff.")
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
+@_exits
 def simulate_command(coeffs, coeffs_file, t_len, seed, sigma, max_lag, tol, out):
     """Simulate a moving-average path and its reconstruction diagnostics."""
-    try:
-        config = AnalysisConfig(
-            coeffs=_resolve_symbol(coeffs, coeffs_file),
-            tol=tol,
-            seed=_resolve_seed(seed),
-            sigma=sigma,
-            t_len=t_len,
-            out_dir=Path(out),
-        )
-    except InputError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT_ERROR)
-    sys.exit(cmd_simulate(config, max_lag))
+    config = AnalysisConfig(
+        coeffs=_resolve_symbol(coeffs, coeffs_file),
+        tol=tol,
+        seed=_resolve_seed(seed),
+        sigma=sigma,
+        t_len=t_len,
+        out_dir=Path(out),
+    )
+    return cmd_simulate(config, max_lag)
 
 
 if __name__ == "__main__":

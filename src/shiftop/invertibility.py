@@ -99,6 +99,16 @@ class RootClassification:
             return Verdict.NON_INVERTIBLE
         return Verdict.INVERTIBLE
 
+    @property
+    def side(self) -> InversionSide | None:
+        """Causal when the verdict is Invertible, anticausal when every root
+        lies strictly inside the circle, else None (no summable inverse)."""
+        if self.verdict is Verdict.INVERTIBLE:
+            return InversionSide.CAUSAL
+        if self.on_circle == 0 and self.outside == 0:
+            return InversionSide.ANTICAUSAL
+        return None
+
 
 @dataclass(frozen=True)
 class InversionResult:
@@ -262,7 +272,7 @@ def invert_anticausal(
         raise ValueError(
             "anticausal inversion needs degree >= 1; a constant inverts causally"
         )
-    if classification.on_circle > 0 or classification.outside > 0:
+    if classification.side is not InversionSide.ANTICAUSAL:
         raise NotInvertibleError(
             "anticausal inversion needs every root strictly inside the circle; got "
             f"{classification.inside} inside, {classification.on_circle} on, "
@@ -273,10 +283,10 @@ def invert_anticausal(
     reversed_f = WienerElement(tuple(reversed(f.coeffs)))
     causal = invert_causal(reversed_f, max_len, eps)
     g = causal.inverse
-    # c_{-d-m} = g_m, so the ascending-index storage is g reversed
+    # c_{-d-m} = g_m, so the ascending-index storage is g reversed; g starts at
+    # offset 0 (g_0 = 1/a_0 is nonzero) and may end early on trailing zeros
     coeffs = np.zeros(causal.truncation_len, dtype=complex)
-    for k, c in enumerate(g.coeffs):
-        coeffs[g.offset + k] = c
+    coeffs[: len(g.coeffs)] = g.coeffs
     inverse = WienerElement(tuple(coeffs[::-1]), -d - causal.truncation_len + 1)
     return InversionResult(
         inverse, InversionSide.ANTICAUSAL, causal.truncation_len, causal.tail_bound

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from shiftop import cli, operators, wiener
+from shiftop import cli, invertibility, operators, process, wiener
 from shiftop.cli import main
-from shiftop.invertibility import WideFloat
+from shiftop.invertibility import WideFloat, classify_roots
 from shiftop.wiener import WienerElement
 
 
@@ -389,6 +389,20 @@ def test_invert_mixed_roots(runner, tmp_path):
     assert "both sides" in result.output
 
 
+@pytest.mark.parametrize("side", ("auto", "causal", "anticausal"))
+def test_invert_root_within_tol_is_borderline_on_every_side(runner, tmp_path, side):
+    # the root lies 1e-5 outside the circle: on it within --tol 1e-4, so no
+    # side has a summable inverse, whichever side is asked for
+    result = runner.invoke(
+        main,
+        ["invert", "--coeffs", "1,-0.9999900000999990", "--tol", "1e-4",
+         "--side", side, "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 3, result.output
+    assert "borderline" in result.output
+    assert not (tmp_path / "inverse.json").exists()
+
+
 def test_invert_tail_not_certified(runner, tmp_path):
     result = runner.invoke(
         main,
@@ -434,6 +448,42 @@ def test_simulate_invertible_outputs(runner, tmp_path):
     assert len(recon_lines) == 22
     erg_lines = (out / "ergodicity.csv").read_text().strip().splitlines()
     assert erg_lines[0] == "T,abs_mean,predicted_std"
+
+
+def test_simulate_reconstructs_near_circle_invertible(runner, tmp_path):
+    # the root sits at 1.0101: invertible, with AR coefficients decaying too
+    # slowly for a 1e-12 tail certificate, which reconstruction does not need
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["simulate", "--coeffs", "1,-0.99", "--T", "2000", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    assert read_json(out / "metadata.json")["verdict"] == "Invertible"
+    lines = (out / "reconstruction.csv").read_text().strip().splitlines()
+    assert lines[0] == "M,mse"
+    mses = [float(line.split(",")[1]) for line in lines[1:]]
+    assert len(mses) == 21
+    assert all(b <= a for a, b in zip(mses, mses[1:]))
+
+
+@pytest.mark.parametrize("coeffs", ("1,0.5", "1,-2", "1,-1"))
+def test_simulate_classifies_roots_once(runner, tmp_path, monkeypatch, coeffs):
+    # the table (reconstruction, divergence or none) follows the command's own
+    # verdict; no layer below classifies the roots again
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return classify_roots(*args)
+
+    monkeypatch.setattr(invertibility, "classify_roots", counted)
+    monkeypatch.setattr(process, "classify_roots", counted)
+    result = runner.invoke(
+        main, ["simulate", "--coeffs", coeffs, "--T", "300", "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_simulate_divergent_outputs(runner, tmp_path):

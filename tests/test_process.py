@@ -10,7 +10,7 @@ from numpy.testing import assert_allclose
 from oracles import ar_ladder_oracle, sample_csv_oracle
 
 from shiftop import process, wiener
-from shiftop.invertibility import NotInvertibleError, Verdict
+from shiftop.invertibility import NotInvertibleError, Verdict, invert_causal
 from shiftop.process import (
     divergence_demo,
     ergodic_mean_check,
@@ -132,6 +132,28 @@ def test_reconstruction_validation():
         reconstruct_innovations(sample, 0)
     with pytest.raises(ValueError):
         reconstruct_innovations(sample, 50)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.floats(1.01, 3.0), st.floats(0.0, math.pi), st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from((1, 3, 20, 57, 200)),
+)
+def test_formal_ar_coefficients_are_the_certified_inverse_prefix(draws, max_lag):
+    # below its certified length the certified inverse is the formal series
+    # inverse bit for bit, so reconstruction keeps its bytes there
+    roots = []
+    for modulus, angle, pair in draws:
+        roots += [cmath.rect(modulus, angle), cmath.rect(modulus, -angle)] if pair else [modulus]
+    f = transfer_from_roots(roots)
+    certified = invert_causal(f, 1 << 16, 1e-12)
+    b = formal_ar_coefficients(f, max_lag)
+    for n in range(1, min(max_lag + 1, certified.truncation_len)):
+        assert b[n] == -certified.inverse.coeff(n).real
 
 
 # -- MSE ladder against the whole-path oracle --------------------------------------
