@@ -22,7 +22,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -30,7 +29,6 @@ import click
 from . import __version__, invertibility, operators, process, wiener
 from .invertibility import (
     InversionSide,
-    NotInvertibleError,
     TailNotCertifiedError,
     Verdict,
     WideFloat,
@@ -50,21 +48,6 @@ SEED_ENV_VAR = "SHIFTOP_SEED"
 
 class InputError(ValueError):
     """Invalid command input; maps to exit code 2."""
-
-
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """Resolved inputs shared by the subcommands."""
-
-    coeffs: WienerElement
-    dims: tuple[int, ...] = (4, 16, 64, 256)
-    grid_size: int = 1 << 16
-    tol: float = invertibility.DEFAULT_ROOT_TOL
-    eps: float = 1e-10
-    seed: int = 0
-    sigma: float = 1.0
-    t_len: int = 10_000
-    out_dir: Path = Path("shiftop-out")
 
 
 def _parse_inline_coeffs(text: str) -> WienerElement:
@@ -168,16 +151,21 @@ def _complex_pairs(values) -> list[list[float]]:
     return [[complex(v).real, complex(v).imag] for v in values]
 
 
+def _invert(f: WienerElement, side: InversionSide, eps: float):
+    """The certified inverse on ``side``; both routines are looked up on the
+    module at call time, so a rebound attribute is the one called."""
+    if side is InversionSide.CAUSAL:
+        return invertibility.invert_causal(f, INVERT_MAX_LEN, eps)
+    return invertibility.invert_anticausal(f, INVERT_MAX_LEN, eps)
+
+
 def _inversion_block(f: WienerElement, classification, eps: float):
     """Inverse coefficients for the analyze report, when one side applies."""
     side = classification.side
     if side is None:
         return {"available": False, "reason": f"verdict {classification.verdict.value}"}
     try:
-        if side is InversionSide.CAUSAL:
-            result = invertibility.invert_causal(f, INVERT_MAX_LEN, eps)
-        else:
-            result = invertibility.invert_anticausal(f, INVERT_MAX_LEN, eps)
+        result = _invert(f, side, eps)
     except TailNotCertifiedError as exc:
         bound = exc.achieved_bound
         return {
@@ -198,16 +186,17 @@ def _inversion_block(f: WienerElement, classification, eps: float):
     }
 
 
-def cmd_analyze(config: AnalysisConfig) -> int:
+def cmd_analyze(
+    f: WienerElement, dims: tuple[int, ...], grid_size: int, tol: float, eps: float, out: Path
+) -> int:
     """Root classification, norms, isometry sweep, and asymmetry report."""
-    f = config.coeffs
     try:
-        dims = operators.isometry_dims(config.dims)
-        classification = invertibility.classify_roots(f, config.tol)
+        dims = operators.isometry_dims(dims)
+        classification = invertibility.classify_roots(f, tol)
         l1 = wiener.l1_norm(f)
         if math.isinf(l1):
             raise ValueError("coefficients too large: their l1 norm overflows")
-        sup = wiener.sup_norm(f, config.grid_size)
+        sup = wiener.sup_norm(f, grid_size)
         asym = invertibility.asymmetry_report(f, dims)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
@@ -218,8 +207,8 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         "symbol": wiener.to_json_dict(f),
         "l1_norm": l1,
         "sup_norm": sup,
-        "grid_size": config.grid_size,
-        "sup_norm_grid_error_bound": wiener.sup_norm_grid_error(f, config.grid_size),
+        "grid_size": grid_size,
+        "sup_norm_grid_error_bound": wiener.sup_norm_grid_error(f, grid_size),
         "roots": {
             "values": _complex_pairs(classification.roots),
             "inside": classification.inside,
@@ -228,7 +217,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             "tol": classification.tol,
             "verdict": classification.verdict.value,
         },
-        "inversion": _inversion_block(f, classification, config.eps),
+        "inversion": _inversion_block(f, classification, eps),
         "isometry": [
             {"N": r.dim, "norm": r.norm, "gap": r.gap} for r in sweep
         ],
@@ -245,7 +234,6 @@ def cmd_analyze(config: AnalysisConfig) -> int:
             for r in asym
         ],
     }
-    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "report.json", _json_text(report))
     _write_text(out / "isometry.csv", operators.isometry_csv(sweep))
@@ -255,7 +243,7 @@ def cmd_analyze(config: AnalysisConfig) -> int:
         f"{classification.inside} inside / {classification.on_circle} on / "
         f"{classification.outside} outside the circle"
     )
-    click.echo(f"l1 norm {l1:.6g}, sup norm {sup:.6g} on {config.grid_size} grid points")
+    click.echo(f"l1 norm {l1:.6g}, sup norm {sup:.6g} on {grid_size} grid points")
     click.echo(
         f"compression norm at N={sweep[-1].dim}: {sweep[-1].norm:.6g} (gap {sweep[-1].gap:.6g})"
     )
@@ -263,11 +251,10 @@ def cmd_analyze(config: AnalysisConfig) -> int:
     return EXIT_OK
 
 
-def cmd_invert(config: AnalysisConfig, side: str = "auto") -> int:
+def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -> int:
     """Certified truncated inverse on the causal or anticausal side."""
-    f = config.coeffs
     try:
-        classification = invertibility.classify_roots(f, config.tol)
+        classification = invertibility.classify_roots(f, tol)
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
@@ -288,23 +275,14 @@ def cmd_invert(config: AnalysisConfig, side: str = "auto") -> int:
         )
         return EXIT_INPUT_ERROR
     try:
-        if side is InversionSide.CAUSAL:
-            result = invertibility.invert_causal(f, INVERT_MAX_LEN, config.eps)
-        else:
-            result = invertibility.invert_anticausal(f, INVERT_MAX_LEN, config.eps)
+        result = _invert(f, side, eps)
     except TailNotCertifiedError as exc:
         click.echo(
             f"tail not certified: bound {exc.achieved_bound:.6g} after "
-            f"{exc.max_len} coefficients still exceeds eps {config.eps:.6g}",
+            f"{exc.max_len} coefficients still exceeds eps {eps:.6g}",
             err=True,
         )
         return EXIT_TAIL_NOT_CERTIFIED
-    except NotInvertibleError as exc:
-        if exc.classification.on_circle > 0:
-            click.echo(f"borderline symbol: {exc}", err=True)
-            return EXIT_BORDERLINE
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT_ERROR
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
@@ -314,10 +292,9 @@ def cmd_invert(config: AnalysisConfig, side: str = "auto") -> int:
         "side": result.side.value,
         "truncation_len": result.truncation_len,
         "tail_bound": result.tail_bound,
-        "eps": config.eps,
+        "eps": eps,
         "source": wiener.to_json_dict(f),
     }
-    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "inverse.json", _json_text(document))
     click.echo(
@@ -332,21 +309,22 @@ def _ergodic_ladder(t_len: int) -> list[int]:
     return sorted({max(1, t_len // 64), max(1, t_len // 16), max(1, t_len // 4), t_len})
 
 
-def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
+def cmd_simulate(
+    f: WienerElement, t_len: int, seed: int, sigma: float, max_lag: int, tol: float, out: Path
+) -> int:
     """Sample a path and report reconstruction (or divergence) and ergodicity."""
-    f = config.coeffs
     # short paths cannot support the full requested ladder
-    max_lag = min(int(max_lag), config.t_len - 1)
+    max_lag = min(int(max_lag), t_len - 1)
     try:
-        sample = process.simulate(f, config.sigma, config.t_len, config.seed)
-        classification = invertibility.classify_roots(f, config.tol)
-        ergodic_rows = process.ergodic_mean_check(
-            f, config.sigma, _ergodic_ladder(config.t_len), config.seed
-        )
+        sample = process.simulate(f, sigma, t_len, seed)
+        classification = invertibility.classify_roots(f, tol)
+        ergodic_rows = process.ergodic_mean_check(f, sigma, _ergodic_ladder(t_len), seed)
         verdict = classification.verdict
         table_name = None
         if verdict is not Verdict.BORDERLINE and max_lag >= 1:
             report = process._formal_reconstruction(sample, max_lag)
+            # a diverging ladder ends at its last finite MSE
+            max_lag = report.lag_cutoff
             invertible = verdict is Verdict.INVERTIBLE
             table_name = "reconstruction.csv" if invertible else "divergence.csv"
     except ValueError as exc:
@@ -359,7 +337,6 @@ def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
     if table_name is not None:
         files.insert(1, table_name)
     metadata["files"] = files
-    out = config.out_dir
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "sample.csv", process.sample_to_csv(sample))
     _write_text(out / "ergodicity.csv", process.ergodic_csv(ergodic_rows))
@@ -367,11 +344,15 @@ def cmd_simulate(config: AnalysisConfig, max_lag: int = 20) -> int:
         _write_text(out / table_name, process.reconstruction_csv(report))
     _write_text(out / "metadata.json", _json_text(metadata))
     click.echo(
-        f"simulated {config.t_len} steps (seed {config.seed}, sigma {config.sigma:.6g}), "
-        f"verdict {verdict.value}"
+        f"simulated {t_len} steps (seed {seed}, sigma {sigma:.6g}), verdict {verdict.value}"
     )
-    if table_name is None:
+    if verdict is Verdict.BORDERLINE:
         click.echo("no reconstruction table: symbol sits on the invertibility boundary")
+    elif table_name is None:
+        click.echo(
+            f"no reconstruction table: max lag {max_lag} (at most T - 1 = {t_len - 1}) "
+            "leaves no cutoff M >= 1"
+        )
     else:
         m, mse = report.mse_per_cutoff[-1]
         what = "reconstruction" if invertible else "divergent reconstruction:"
@@ -420,20 +401,14 @@ def main():
 @click.option("--dims", default="4,16,64,256", show_default=True, help="Truncation dimensions.")
 @click.option("--grid", default=1 << 16, show_default=True, help="Circle grid size for sup norm.")
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=1e-10, show_default=True, help="Inverse tail certification target.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, help="Inverse tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
     """Classify roots, measure norms, and tabulate truncation behavior."""
-    config = AnalysisConfig(
-        coeffs=_resolve_symbol(coeffs, coeffs_file),
-        dims=_parse_dims(dims),
-        grid_size=grid,
-        tol=tol,
-        eps=eps,
-        out_dir=Path(out),
+    return cmd_analyze(
+        _resolve_symbol(coeffs, coeffs_file), _parse_dims(dims), grid, tol, eps, Path(out)
     )
-    return cmd_analyze(config)
 
 
 @main.command("invert")
@@ -446,18 +421,12 @@ def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
     help="Which one-sided inverse to compute.",
 )
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=1e-10, show_default=True, help="Tail certification target.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, help="Tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def invert_command(coeffs, coeffs_file, side, tol, eps, out):
     """Write a certified truncated inverse as a JSON coefficient file."""
-    config = AnalysisConfig(
-        coeffs=_resolve_symbol(coeffs, coeffs_file),
-        tol=tol,
-        eps=eps,
-        out_dir=Path(out),
-    )
-    return cmd_invert(config, side)
+    return cmd_invert(_resolve_symbol(coeffs, coeffs_file), side, tol, eps, Path(out))
 
 
 @main.command("simulate")
@@ -471,15 +440,8 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
 @_exits
 def simulate_command(coeffs, coeffs_file, t_len, seed, sigma, max_lag, tol, out):
     """Simulate a moving-average path and its reconstruction diagnostics."""
-    config = AnalysisConfig(
-        coeffs=_resolve_symbol(coeffs, coeffs_file),
-        tol=tol,
-        seed=_resolve_seed(seed),
-        sigma=sigma,
-        t_len=t_len,
-        out_dir=Path(out),
-    )
-    return cmd_simulate(config, max_lag)
+    f = _resolve_symbol(coeffs, coeffs_file)
+    return cmd_simulate(f, t_len, _resolve_seed(seed), sigma, max_lag, tol, Path(out))
 
 
 if __name__ == "__main__":

@@ -209,6 +209,10 @@ def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: floa
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if rho >= 1.0:  # a computed root on or inside the circle: no geometric decay
+        raise TailNotCertifiedError(
+            f"no geometric tail bound: the largest 1/|root| is {rho:.17g}", math.inf, max_len
+        )
     lengths = np.arange(1, max_len + 1)
     log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
     log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
@@ -234,21 +238,29 @@ def invert_causal(
     ``1/|root|``) certifies l1 tail mass at most ``eps``.  Rejects symbols
     whose verdict is not Invertible; raises :class:`TailNotCertifiedError`
     when ``max_len`` is reached first, ``ValueError`` when a coefficient of
-    the inverse lies past float max (as for a subnormal ``a_0``).
+    the inverse lies past float max (as for a subnormal ``a_0``).  The roots
+    are classified at ``MIN_ROOT_TOL``, the smallest tolerance any caller may
+    use, so a symbol Invertible at the caller's tolerance is Invertible here;
+    Borderline is the caller's verdict, made with its own tolerance.
     """
-    classification = classify_roots(f)
+    classification = classify_roots(f, MIN_ROOT_TOL)
     if classification.verdict is not Verdict.INVERTIBLE:
         raise NotInvertibleError(
             f"causal inversion needs verdict Invertible, got {classification.verdict.value}",
             classification,
         )
+    return _series_inverse(f, classification.roots, max_len, eps)
+
+
+def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> InversionResult:
+    """The certified causal series inverse of ``f``, its tail bound taken from ``roots``."""
     a = f.to_array()
     q = len(a) - 1
     if q == 0:
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             length, bound, g = 1, 0.0, 1.0 / a
     else:
-        rho = float(max(1.0 / np.abs(classification.roots)))
+        rho = float(max(1.0 / np.abs(roots)))
         length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), float(eps))
         g = _series_inverse_prefix(a, length)
     if not np.all(np.isfinite(g)):
@@ -265,9 +277,12 @@ def invert_anticausal(
     (all roots strictly outside), the anticausal inverse is the causal inverse
     of ``frev`` re-indexed to ``z**(-d-m)``; its support sits at indices
     ``<= -1``.  Rejects any root on or outside the circle, and rejects
-    constants (their inverse would sit at index 0).
+    constants (their inverse would sit at index 0).  As in
+    :func:`invert_causal`, the roots are classified at ``MIN_ROOT_TOL``; the
+    reversed polynomial is not classified again, and where its own computed
+    roots reach the circle, the tail is not certified.
     """
-    classification = classify_roots(f)
+    classification = classify_roots(f, MIN_ROOT_TOL)
     if f.degree == 0:
         raise ValueError(
             "anticausal inversion needs degree >= 1; a constant inverts causally"
@@ -281,7 +296,7 @@ def invert_anticausal(
         )
     d = f.degree
     reversed_f = WienerElement(tuple(reversed(f.coeffs)))
-    causal = invert_causal(reversed_f, max_len, eps)
+    causal = _series_inverse(reversed_f, _companion_eigenvalues(reversed_f.coeffs), max_len, eps)
     g = causal.inverse
     # c_{-d-m} = g_m, so the ascending-index storage is g reversed; g starts at
     # offset 0 (g_0 = 1/a_0 is nonzero) and may end early on trailing zeros

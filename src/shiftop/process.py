@@ -46,7 +46,6 @@ __all__ = [
     "sample_to_csv",
     "metadata_sidecar",
     "reconstruction_csv",
-    "divergence_csv",
     "filter_csv",
     "ergodic_csv",
 ]
@@ -170,6 +169,10 @@ def _ar_ladder_mse(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[t
     path ladder (filter terms, then the target, then the square); leaf sums
     added up numpy's pairwise tree make each MSE equal ``np.mean`` over the
     whole window bit for bit.
+
+    A diverging ladder ends at its last finite MSE: once a residual passes
+    float max it stays inf or nan at every larger cutoff.  ``ValueError``
+    when not even ``M = 0`` is finite.
     """
     t_len = sample.t_len
     if max_lag >= t_len:
@@ -181,20 +184,25 @@ def _ar_ladder_mse(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[t
     sums = np.empty((len(leaves), max_lag + 1))
     eps_buf, term_buf, err_buf = (np.empty(max(leaves)) for _ in range(3))
     lo = 0
-    for leaf, size in enumerate(leaves):
-        eps_hat, term, err = eps_buf[:size], term_buf[:size], err_buf[:size]
-        hi = lo + size
-        np.copyto(eps_hat, path[max_lag + lo : max_lag + hi])
-        for m in range(max_lag + 1):
-            if m:
-                np.multiply(b[m], path[max_lag - m + lo : max_lag - m + hi], out=term)
-                np.subtract(eps_hat, term, out=eps_hat)
-            np.subtract(eps_hat, target[lo:hi], out=err)
-            np.square(err, out=err)
-            sums[leaf, m] = err.sum()
-        lo = hi
-    mse = _pairwise_total(iter(sums), n) / n
-    return [(m, float(mse[m])) for m in range(max_lag + 1)]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite MSEs are cut below
+        for leaf, size in enumerate(leaves):
+            eps_hat, term, err = eps_buf[:size], term_buf[:size], err_buf[:size]
+            hi = lo + size
+            np.copyto(eps_hat, path[max_lag + lo : max_lag + hi])
+            for m in range(max_lag + 1):
+                if m:
+                    np.multiply(b[m], path[max_lag - m + lo : max_lag - m + hi], out=term)
+                    np.subtract(eps_hat, term, out=eps_hat)
+                np.subtract(eps_hat, target[lo:hi], out=err)
+                np.square(err, out=err)
+                sums[leaf, m] = err.sum()
+            lo = hi
+        mse = _pairwise_total(iter(sums), n) / n
+    overflowed = np.flatnonzero(~np.isfinite(mse))
+    stop = int(overflowed[0]) if len(overflowed) else max_lag + 1
+    if stop == 0:
+        raise ValueError("the reconstruction MSE lies past float max already at M = 0")
+    return [(m, float(mse[m])) for m in range(stop)]
 
 
 @dataclass(frozen=True)
@@ -202,7 +210,9 @@ class ReconstructionReport:
     """Autoregressive innovation recovery at a ladder of lag cutoffs.
 
     ``ar_coeffs`` are ``b_1 .. b_lag_cutoff``, ``b_n = -g_n`` from the formal
-    power-series inverse ``g = 1/f`` of the transfer.
+    power-series inverse ``g = 1/f`` of the transfer.  ``lag_cutoff`` is the
+    last ``M`` of the ladder, below the requested one when a diverging ladder
+    passes float max.
     """
 
     ar_coeffs: tuple[float, ...]
@@ -250,7 +260,9 @@ def _formal_reconstruction(sample: ProcessSample, max_lag: int) -> Reconstructio
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
     b = formal_ar_coefficients(sample.transfer, max_lag)
-    return ReconstructionReport(tuple(b[1:]), max_lag, tuple(_ar_ladder_mse(sample, b, max_lag)))
+    ladder = _ar_ladder_mse(sample, b, max_lag)
+    cutoff = ladder[-1][0]
+    return ReconstructionReport(tuple(b[1 : cutoff + 1]), cutoff, tuple(ladder))
 
 
 def divergence_demo(
@@ -653,10 +665,6 @@ def _two_column_csv(header: str, rows) -> str:
 
 def reconstruction_csv(report: ReconstructionReport) -> str:
     return _two_column_csv("M,mse", report.mse_per_cutoff)
-
-
-def divergence_csv(rows) -> str:
-    return _two_column_csv("M,mse", rows)
 
 
 def filter_csv(rows) -> str:

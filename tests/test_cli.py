@@ -420,6 +420,37 @@ def test_invert_tail_not_certified(runner, tmp_path):
     assert "tail not certified" in result.output
 
 
+def test_inversion_follows_the_command_tol(runner, tmp_path):
+    # the root sits 1e-10 outside: Invertible at --tol 1e-12, whose inversion
+    # then runs and cannot certify the tail; Borderline at the default tol
+    near = ["--coeffs", "1,-0.9999999999"]
+    result = runner.invoke(main, ["analyze", *near, "--tol", "1e-12", "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    report = read_json(tmp_path / "report.json")
+    assert report["roots"]["verdict"] == "Invertible"
+    assert report["inversion"]["reason"] == "tail not certified within 65536 coefficients"
+
+    result = runner.invoke(main, ["invert", *near, "--tol", "1e-12", "--out", str(tmp_path)])
+    assert result.exit_code == 4, result.output
+    assert "tail not certified" in result.output
+    result = runner.invoke(main, ["invert", *near, "--out", str(tmp_path)])
+    assert result.exit_code == 3, result.output
+    assert "borderline" in result.output
+    assert not (tmp_path / "inverse.json").exists()
+
+
+def test_invert_forced_side_against_the_roots_below_default_tol(runner, tmp_path):
+    # the root sits 1e-10 inside: NonInvertible at --tol 1e-12, so a forced
+    # causal side is invalid input, not a borderline symbol
+    result = runner.invoke(
+        main,
+        ["invert", "--coeffs", "1,-1.0000000001", "--tol", "1e-12", "--side", "causal",
+         "--out", str(tmp_path)],
+    )
+    assert result.exit_code == 2, result.output
+    assert "got NonInvertible" in result.output
+
+
 # -- simulate --------------------------------------------------------------------
 
 
@@ -518,6 +549,37 @@ def test_simulate_borderline_skips_reconstruction(runner, tmp_path):
     ]
 
 
+def test_simulate_path_too_short_for_a_cutoff(runner, tmp_path):
+    # an Invertible symbol on a one-step path: no cutoff fits, and the
+    # message says so instead of blaming the boundary
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["simulate", "--coeffs", "1,0.5", "--T", "1", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert "boundary" not in result.output
+    assert "max lag 0 (at most T - 1 = 0) leaves no cutoff" in result.output
+    metadata = read_json(out / "metadata.json")
+    assert metadata["verdict"] == "Invertible"
+    assert metadata["max_lag"] == 0
+    assert metadata["files"] == ["sample.csv", "ergodicity.csv", "metadata.json"]
+
+
+def test_simulate_divergence_ends_at_last_finite_mse(runner, tmp_path):
+    # the root 0.01 makes b_n = 100**n: the ladder passes float max near
+    # M = 76 and stops before it, with no numpy warning on the way
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main,
+        ["simulate", "--coeffs", "1,-100", "--T", "2000", "--max-lag", "200", "--out", str(out)],
+    )
+    assert result.exit_code == 0, result.output
+    rows = [line.split(",") for line in (out / "divergence.csv").read_text().splitlines()[1:]]
+    assert [int(m) for m, _ in rows] == list(range(len(rows)))
+    assert all(np.isfinite(float(mse)) for _, mse in rows)
+    assert 1 < len(rows) < 201
+    assert read_json(out / "metadata.json")["max_lag"] == int(rows[-1][0])
+    assert f"MSE at M={rows[-1][0]}:" in result.output
+
+
 def test_simulate_white_noise_short_path(runner, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(
@@ -590,3 +652,28 @@ def test_version_flag(runner):
     result = runner.invoke(main, ["--version"])
     assert result.exit_code == 0
     assert "shiftop" in result.output
+
+
+def test_defaults_live_on_the_options(runner, tmp_path):
+    # each command run with no optional flag records the defaults of its
+    # click options; --out defaults to shiftop-out in the working directory
+    with runner.isolated_filesystem(temp_dir=tmp_path) as cwd:
+        out = Path(cwd) / "shiftop-out"
+        assert runner.invoke(main, ["analyze", "--coeffs", "1,-0.5"]).exit_code == 0
+        report = read_json(out / "report.json")
+        assert [row["N"] for row in report["isometry"]] == [4, 16, 64, 256]
+        assert report["grid_size"] == 65536
+        assert report["roots"]["tol"] == 1e-9
+
+        assert runner.invoke(main, ["invert", "--coeffs", "1,-2"]).exit_code == 0
+        document = read_json(out / "inverse.json")
+        assert document["eps"] == 1e-10
+        assert document["side"] == "anticausal"
+
+        result = runner.invoke(main, ["simulate", "--coeffs", "1,0.5"], env={"SHIFTOP_SEED": None})
+        assert result.exit_code == 0, result.output
+        metadata = read_json(out / "metadata.json")
+        assert metadata["t_len"] == 10_000
+        assert metadata["max_lag"] == 20
+        assert metadata["seed"] == 0
+        assert metadata["sigma"] == 1.0

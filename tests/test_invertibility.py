@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
@@ -504,6 +504,33 @@ def test_inverse_norm_invertible_property(roots, dims):
     for smaller, larger in zip(norms, norms[1:]):
         assert larger >= smaller * (1 - 1e-12)
     assert norms[-1] <= (1 / low) * (1 + 1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.integers(2, 13), st.sampled_from((1.0, -1.0))), min_size=1, max_size=3
+    ),
+    inside=st.booleans(),
+    log_tol=st.floats(math.log10(inv.MIN_ROOT_TOL), math.log10(inv.MAX_ROOT_TOL)),
+)
+# a pair 1e-7 and 1e-9 inside: the reversed polynomial's computed roots
+# straddle the circle although the symbol's own all lie inside
+@example(roots=[(7, 1.0), (9, 1.0)], inside=True, log_tol=-9.0)
+def test_inversion_takes_the_side_of_any_admissible_tol_property(roots, inside, log_tol):
+    # real roots 10**-k from the circle: a side seen at any admissible tol is
+    # one the inversion routine also takes, so it certifies the tail or gives
+    # up on it, and never calls the symbol Borderline or NonInvertible
+    step = -1.0 if inside else 1.0
+    f = from_roots([sign * (1 + step * 10.0**-k) for k, sign in roots])
+    tol = min(max(10.0**log_tol, inv.MIN_ROOT_TOL), inv.MAX_ROOT_TOL)
+    side = classify_roots(f, tol).side
+    assume(side is not None)
+    invert = invert_causal if side is InversionSide.CAUSAL else invert_anticausal
+    try:
+        invert(f, max_len=64)
+    except TailNotCertifiedError:
+        pass
 
 
 @pytest.mark.parametrize("root", [polar(0.5, 0.7), 0.9, polar(0.8, -2.0)])

@@ -231,6 +231,21 @@ def test_divergence_ratio_tracks_inside_root():
         assert abs(mses[i + 1] / mses[i] - 1.5625) < 0.08
 
 
+def test_divergence_ladder_ends_at_last_finite_mse():
+    # b_n = 100**n passes float max: the ladder stops at its last finite MSE,
+    # with no overflow warning, and the report's cutoff is that last M
+    rows = divergence_demo(WienerElement((1, -100)), 200, seed=3, t_len=2000)
+    assert [m for m, _ in rows] == list(range(len(rows)))
+    assert 1 < len(rows) < 201
+    assert all(math.isfinite(mse) for _, mse in rows)
+    report = process._formal_reconstruction(simulate(WienerElement((1, -100)), 1.0, 2000, 3), 200)
+    assert report.mse_per_cutoff == tuple(rows)
+    assert report.lag_cutoff == rows[-1][0] == len(report.ar_coeffs)
+    # a path whose residual overflows already at M = 0 has no ladder
+    with pytest.raises(ValueError, match="M = 0"):
+        process._formal_reconstruction(simulate(WienerElement((1, 1e300)), 1.0, 100, 0), 5)
+
+
 def test_divergence_requires_inside_root():
     with pytest.raises(ValueError):
         divergence_demo(MA1, 8, seed=0)
@@ -613,8 +628,6 @@ def test_tabular_csv_headers():
     sample = simulate(MA1, 1.0, 400, 0)
     recon = reconstruct_innovations(sample, 3)
     assert process.reconstruction_csv(recon).splitlines()[0] == "M,mse"
-    rows = divergence_demo(WINDOW, 3, seed=0, t_len=500)
-    assert process.divergence_csv(rows).splitlines()[0] == "M,mse"
     conv = l1_filter_convergence(sample, ONE, (0,))
     assert process.filter_csv(conv).splitlines()[0] == "cutoff,max_deviation,mse"
     erg = ergodic_mean_check(MA1, 1.0, (64,), 0)
