@@ -20,11 +20,12 @@ import functools
 import json
 import math
 import os
-import re
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import click
+import numpy as np
 
 from . import __version__, invertibility, operators, process, wiener
 from .invertibility import (
@@ -57,10 +58,13 @@ def _parse_inline_coeffs(text: str) -> WienerElement:
     values = []
     for i, p in enumerate(parts):
         try:
-            values.append(float(p))
+            value = float(p)
         except ValueError:
             raise InputError(f"--coeffs: field {i} ({p!r}) is not a number") from None
-    return WienerElement(tuple(complex(v) for v in values))
+        if not math.isfinite(value):
+            raise InputError(f"--coeffs: field {i} ({p!r}) is not finite")
+        values.append(value)
+    return WienerElement(values)
 
 
 def _load_coeffs_file(path: str) -> WienerElement:
@@ -118,37 +122,83 @@ def _write_text(path: Path, text: str | bytes | bytearray) -> None:
     os.replace(tmp, path)
 
 
-# a WideFloat past float max goes through json.dumps as this prefix plus its
-# decimal literal, and the quoted string is then replaced by the bare literal
-_LITERAL_MARK = "\0"
-_LITERAL_STRING = re.compile(r'"\\u0000([^"]*)"')
-
-
-def _literal_placeholder(value):
-    if isinstance(value, WideFloat):
-        return _LITERAL_MARK + value.text()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
 def _json_text(document) -> str:
-    """Strict JSON (RFC 8259): NaN or infinity raises ``ValueError``.
+    """``json.dumps(document, indent=2, allow_nan=False)`` and a newline, byte for byte.
 
-    A :class:`WideFloat` in ``document`` is written as its decimal literal,
-    a JSON number even past float max.
+    Strict JSON (RFC 8259): NaN or infinity raises ``ValueError``.  Besides
+    the JSON types (``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
+    ``int``, ``float``, ``bool`` and ``None``) it writes a :class:`WideFloat`
+    as its float, or past float max as its decimal literal, and a 1-D
+    complex ndarray as a list of (real part, imaginary part) pairs.
     """
-    text = json.dumps(document, indent=2, allow_nan=False, default=_literal_placeholder)
-    return _LITERAL_STRING.sub(r"\1", text) + "\n"
+    parts: list[str] = []
+    _encode(document, "\n", parts)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _json_number(wide: WideFloat | None):
-    """``null`` for no value, the float within float range, else the literal."""
-    if wide is None or math.isinf(float(wide)):
-        return wide
-    return float(wide)
+def _encode(value, newline: str, parts: list[str]) -> None:
+    """Append the text of ``value`` to ``parts``; ``newline`` opens a line at its depth."""
+    if isinstance(value, str):
+        parts.append(encode_basestring_ascii(value))
+    elif value is None:
+        parts.append("null")
+    elif value is True:
+        parts.append("true")
+    elif value is False:
+        parts.append("false")
+    elif isinstance(value, int):
+        parts.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
+        parts.append(float.__repr__(value))
+    elif isinstance(value, WideFloat):
+        number = float(value)
+        parts.append(value.text() if math.isinf(number) else float.__repr__(number))
+    elif isinstance(value, np.ndarray):
+        parts.append(_pairs_text(value, newline))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        parts.append("[")
+        for item in value:
+            parts.append(inner)
+            _encode(item, inner, parts)
+            parts.append(",")
+        parts[-1] = newline + "]"
+    elif isinstance(value, dict):
+        if not value:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        parts.append("{")
+        for key, item in value.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            parts.append(f"{inner}{encode_basestring_ascii(key)}: ")
+            _encode(item, inner, parts)
+            parts.append(",")
+        parts[-1] = newline + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _complex_pairs(values) -> list[list[float]]:
-    return [[complex(v).real, complex(v).imag] for v in values]
+def _pairs_text(values: np.ndarray, newline: str) -> str:
+    """A 1-D complex array as a list of (real, imaginary) pairs, in one ``%`` format."""
+    if values.ndim != 1 or values.dtype != complex:
+        raise TypeError(f"expected a 1-D complex array, got {values.dtype} of shape {values.shape}")
+    if not len(values):
+        return "[]"
+    if not np.all(np.isfinite(values)):
+        raise ValueError("Out of range float values are not JSON compliant")
+    inner = newline + "  "
+    # %s of a float is its shortest round-trip repr, and formats faster than %r
+    pair = f"{inner}[{inner}  %s,{inner}  %s{inner}]"
+    floats = np.ascontiguousarray(values).view(float).tolist()
+    return "[" + ",".join([pair] * len(values)) % tuple(floats) + newline + "]"
 
 
 def _invert(f: WienerElement, side: InversionSide, eps: float):
@@ -180,7 +230,7 @@ def _inversion_block(f: WienerElement, classification, eps: float):
         "available": True,
         "side": result.side.value,
         "offset": result.inverse.offset,
-        "coeffs": _complex_pairs(result.inverse.coeffs),
+        "coeffs": result.inverse.to_array(),
         "truncation_len": result.truncation_len,
         "tail_bound": result.tail_bound,
     }
@@ -210,7 +260,7 @@ def cmd_analyze(
         "grid_size": grid_size,
         "sup_norm_grid_error_bound": wiener.sup_norm_grid_error(f, grid_size),
         "roots": {
-            "values": _complex_pairs(classification.roots),
+            "values": np.asarray(classification.roots, dtype=complex),
             "inside": classification.inside,
             "on_circle": classification.on_circle,
             "outside": classification.outside,
@@ -225,10 +275,10 @@ def cmd_analyze(
             {
                 "N": r.dim,
                 # a singular circulant has no inverse norm: null, and the flag
-                "norm_circulant_inverse": _json_number(r.wide_norm_circulant_inverse),
-                "norm_triangular_inverse": _json_number(r.wide_norm_triangular_inverse),
+                "norm_circulant_inverse": r.wide_norm_circulant_inverse,
+                "norm_triangular_inverse": r.wide_norm_triangular_inverse,
                 "cond_circulant": None if r.circulant_singular else r.cond_circulant,
-                "cond_triangular": _json_number(r.wide_cond_triangular),
+                "cond_triangular": r.wide_cond_triangular,
                 "circulant_singular": r.circulant_singular,
             }
             for r in asym
@@ -288,7 +338,7 @@ def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -
         return EXIT_INPUT_ERROR
     document = {
         "offset": result.inverse.offset,
-        "coeffs": _complex_pairs(result.inverse.coeffs),
+        "coeffs": result.inverse.to_array(),
         "side": result.side.value,
         "truncation_len": result.truncation_len,
         "tail_bound": result.tail_bound,
@@ -434,7 +484,13 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
 @click.option("--T", "t_len", default=10_000, show_default=True, help="Path length.")
 @click.option("--seed", default=0, show_default=True, help=f"PRNG seed ({SEED_ENV_VAR} overrides).")
 @click.option("--sigma", default=1.0, show_default=True, help="Innovation standard deviation.")
-@click.option("--max-lag", default=20, show_default=True, help="Largest reconstruction cutoff.")
+@click.option(
+    "--max-lag",
+    default=20,
+    show_default=True,
+    type=click.IntRange(min=0),
+    help="Largest reconstruction cutoff.",
+)
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits

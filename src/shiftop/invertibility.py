@@ -265,7 +265,7 @@ def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> Invers
         g = _series_inverse_prefix(a, length)
     if not np.all(np.isfinite(g)):
         raise ValueError(f"inverse coefficients overflow float range (|a_0| = {abs(a[0]):.3g})")
-    return InversionResult(WienerElement(tuple(g)), InversionSide.CAUSAL, length, bound)
+    return InversionResult(WienerElement(g), InversionSide.CAUSAL, length, bound)
 
 
 def invert_anticausal(
@@ -295,14 +295,14 @@ def invert_anticausal(
             classification,
         )
     d = f.degree
-    reversed_f = WienerElement(tuple(reversed(f.coeffs)))
+    reversed_f = WienerElement(f.to_array()[::-1])
     causal = _series_inverse(reversed_f, _companion_eigenvalues(reversed_f.coeffs), max_len, eps)
     g = causal.inverse
     # c_{-d-m} = g_m, so the ascending-index storage is g reversed; g starts at
     # offset 0 (g_0 = 1/a_0 is nonzero) and may end early on trailing zeros
     coeffs = np.zeros(causal.truncation_len, dtype=complex)
-    coeffs[: len(g.coeffs)] = g.coeffs
-    inverse = WienerElement(tuple(coeffs[::-1]), -d - causal.truncation_len + 1)
+    coeffs[: len(g.coeffs)] = g.to_array()
+    inverse = WienerElement(coeffs[::-1], -d - causal.truncation_len + 1)
     return InversionResult(
         inverse, InversionSide.ANTICAUSAL, causal.truncation_len, causal.tail_bound
     )
@@ -358,15 +358,20 @@ class WideFloat:
         return format(digits, "e")
 
 
+def _float_or_inf(wide: WideFloat | None) -> float:
+    return math.inf if wide is None else float(wide)
+
+
 @dataclass(frozen=True)
 class AsymmetryRow:
     """One truncation dimension of :func:`asymmetry_report`.
 
-    ``norm_triangular_inverse`` and ``cond_triangular`` read ``inf`` past
-    float max, and when ``a_0 = 0``; ``wide_norm_triangular_inverse`` holds
-    the same norm exactly past float max too (``None`` when ``a_0 = 0``).
-    Likewise ``wide_norm_circulant_inverse`` holds ``norm_circulant_inverse``
-    past float max, as for a subnormal symbol (``None`` when singular).
+    ``wide_norm_triangular_inverse`` holds ``||T_N(f)^{-1}||`` exactly,
+    also past float max (``None`` when ``a_0 = 0``), and
+    ``wide_norm_circulant_inverse`` the circulant's inverse norm, also past
+    float max as for a subnormal symbol (``None`` when singular).  The float
+    properties ``norm_triangular_inverse``, ``norm_circulant_inverse`` and
+    ``cond_triangular`` read ``inf`` past float max and for ``None``.
     ``inverse_route`` names what answered that norm: ``"power"`` (block
     power iteration), ``"banded"`` (the banded Gram eigenvalue, after power
     iteration did not settle on an Invertible symbol) or ``"none"``
@@ -375,10 +380,7 @@ class AsymmetryRow:
     """
 
     dim: int
-    norm_circulant_inverse: float
-    norm_triangular_inverse: float
     cond_circulant: float
-    cond_triangular: float
     circulant_singular: bool
     norm_triangular: float
     wide_norm_triangular_inverse: WideFloat | None
@@ -386,6 +388,20 @@ class AsymmetryRow:
     inverse_steps: int
     inverse_change: float
     wide_norm_circulant_inverse: WideFloat | None
+
+    @property
+    def norm_circulant_inverse(self) -> float:
+        return _float_or_inf(self.wide_norm_circulant_inverse)
+
+    @property
+    def norm_triangular_inverse(self) -> float:
+        return _float_or_inf(self.wide_norm_triangular_inverse)
+
+    @property
+    def cond_triangular(self) -> float:
+        if self.wide_norm_triangular_inverse is None:
+            return math.inf
+        return self.norm_triangular * self.norm_triangular_inverse
 
     @property
     def wide_cond_triangular(self) -> WideFloat | None:
@@ -507,36 +523,29 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
         largest = float(spectrum.max())
         singular = smallest == 0.0
         wide_circ = None if singular else WideFloat.of(smallest).reciprocal()
-        norm_circ_inv = math.inf if singular else float(wide_circ)
         cond_circ = math.inf if singular else largest / smallest
         norm_tri = operators.compression_norm(f, dim)
         if a0 == 0:
             wide, route, steps, change = None, "none", 0, 0.0
-            norm_tri_inv = cond_tri = float("inf")
         else:
             wide, route, steps, change = _triangular_inverse_norm(f, dim, rho, invertible)
-            norm_tri_inv = float(wide)
-            cond_tri = norm_tri * norm_tri_inv
         rows.append(
-            AsymmetryRow(
-                dim, norm_circ_inv, norm_tri_inv, cond_circ, cond_tri, singular,
-                norm_tri, wide, route, steps, change, wide_circ,
-            )
+            AsymmetryRow(dim, cond_circ, singular, norm_tri, wide, route, steps, change, wide_circ)
         )
     return rows
 
 
-def _csv_cell(value: float, wide: WideFloat | None) -> str:
-    """``%.17g`` of ``value``; past float max, the decimal literal of ``wide``."""
-    return wide.text() if value == math.inf and wide is not None else f"{value:.17g}"
+def _csv_cell(wide: WideFloat | None) -> str:
+    """``%.17g`` of ``wide`` (past float max its decimal literal); ``inf`` for ``None``."""
+    return "inf" if wide is None else wide.text()
 
 
 def asymmetry_csv(rows) -> str:
     lines = ["N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular"]
     for r in rows:
         lines.append(
-            f"{r.dim},{_csv_cell(r.norm_circulant_inverse, r.wide_norm_circulant_inverse)},"
-            f"{_csv_cell(r.norm_triangular_inverse, r.wide_norm_triangular_inverse)},"
-            f"{r.cond_circulant:.17g},{_csv_cell(r.cond_triangular, r.wide_cond_triangular)}"
+            f"{r.dim},{_csv_cell(r.wide_norm_circulant_inverse)},"
+            f"{_csv_cell(r.wide_norm_triangular_inverse)},"
+            f"{r.cond_circulant:.17g},{_csv_cell(r.wide_cond_triangular)}"
         )
     return "\n".join(lines) + "\n"

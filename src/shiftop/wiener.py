@@ -12,6 +12,7 @@ All values are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -44,10 +45,6 @@ UNIT_CIRCLE_TOL = 1e-12
 MIN_GRID_SIZE = 16
 
 
-def _as_complex_tuple(values) -> tuple[complex, ...]:
-    return tuple(complex(v) for v in values)
-
-
 @dataclass(frozen=True)
 class WienerElement:
     """A finitely supported Laurent series ``sum_n a_n z**n``.
@@ -71,17 +68,17 @@ class WienerElement:
     offset: int = 0
 
     def __post_init__(self):
-        coeffs = _as_complex_tuple(self.coeffs)
-        if not coeffs:
+        values = np.asarray(self.coeffs, dtype=complex).ravel()
+        if not len(values):
             raise ValueError("coeffs must be nonempty")
         offset = int(self.offset)
-        first = next((i for i, c in enumerate(coeffs) if c != 0), None)
-        if first is None:
+        nonzero = np.flatnonzero(values)  # NaN counts as nonzero, -0.0 as zero
+        if not len(nonzero):
             coeffs, offset = (0j,), 0
         else:
-            last = max(i for i, c in enumerate(coeffs) if c != 0)
+            first, last = int(nonzero[0]), int(nonzero[-1])
             offset += first
-            coeffs = coeffs[first : last + 1]
+            coeffs = tuple(values[first : last + 1].tolist())
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "offset", offset)
 
@@ -173,7 +170,7 @@ def add(f: WienerElement, g: WienerElement) -> WienerElement:
     out = np.zeros(hi - lo + 1, dtype=complex)
     out[f.offset - lo : f.offset - lo + len(f.coeffs)] += f.to_array()
     out[g.offset - lo : g.offset - lo + len(g.coeffs)] += g.to_array()
-    return WienerElement(tuple(out), lo)
+    return WienerElement(out, lo)
 
 
 def multiply(f: WienerElement, g: WienerElement) -> WienerElement:
@@ -185,7 +182,7 @@ def multiply(f: WienerElement, g: WienerElement) -> WienerElement:
     if f.is_zero or g.is_zero:
         return ZERO
     conv = np.convolve(f.to_array(), g.to_array())
-    return WienerElement(tuple(conv), f.offset + g.offset)
+    return WienerElement(conv, f.offset + g.offset)
 
 
 def l1_norm(f: WienerElement) -> float:
@@ -313,8 +310,14 @@ def from_json_dict(data) -> WienerElement:
             or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
         ):
             raise ValueError(f"coeffs[{i}]: expected a [re, im] pair of numbers")
-        coeffs.append(complex(entry[0], entry[1]))
-    return WienerElement(tuple(coeffs), offset)
+        try:  # json.loads reads NaN, Infinity and 1e400 as floats that are not finite
+            value = complex(entry[0], entry[1])
+        except OverflowError:  # an integer past float max
+            value = complex(math.inf)
+        if not cmath.isfinite(value):
+            raise ValueError(f"coeffs[{i}]: {entry!r} is not a pair of finite numbers")
+        coeffs.append(value)
+    return WienerElement(coeffs, offset)
 
 
 def load_coefficients(path) -> WienerElement:
@@ -324,4 +327,4 @@ def load_coefficients(path) -> WienerElement:
 
 
 def save_coefficients(f: WienerElement, path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(f), indent=2) + "\n")
+    Path(path).write_text(json.dumps(to_json_dict(f), indent=2, allow_nan=False) + "\n")

@@ -16,12 +16,22 @@ geometric tail bound one length at a time, the reference for the log-space
 reconstruction MSE ladder with one ``np.mean`` over the whole path per cutoff,
 the reference that the leaf-blocked ``shiftop.process._ar_ladder_mse`` must
 match bit for bit.  ``sample_csv_oracle`` returns ``str``; the encoder returns
-ASCII bytes, which the tests decode before comparing.
+ASCII bytes, which the tests decode before comparing.  ``json_text_oracle``
+writes a CLI document through ``json.dumps(indent=2, allow_nan=False)``,
+pairs and decimal literals spliced in by a placeholder and a regex pass, the
+reference for the one-pass writer ``shiftop.cli._json_text``.
+``canonical_form_oracle`` trims coefficients one generator step at a time,
+the reference for the vectorised ``WienerElement.__post_init__``.
 """
+
+import json
+import math
+import re
 
 import numpy as np
 
 from shiftop import wiener
+from shiftop.invertibility import WideFloat
 from shiftop.operators import OperatorKind, TruncatedOperator, build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
@@ -134,3 +144,39 @@ def ar_ladder_oracle(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list
         eps_hat -= b[m] * path[max_lag - m : t_len - m]
         rows.append((m, float(np.mean((eps_hat - target) ** 2))))
     return rows
+
+
+# a WideFloat past float max goes through json.dumps as this prefix plus its
+# decimal literal, and the quoted string is then replaced by the bare literal;
+# a document string that itself starts with NUL would be unquoted the same way
+_LITERAL_MARK = "\0"
+_LITERAL_STRING = re.compile(r'"\\u0000([^"]*)"')
+
+
+def _json_default(value):
+    """A WideFloat as its float or literal, a complex array as ``[re, im]`` lists."""
+    if isinstance(value, WideFloat):
+        number = float(value)
+        return _LITERAL_MARK + value.text() if math.isinf(number) else number
+    if isinstance(value, np.ndarray):
+        return [[complex(v).real, complex(v).imag] for v in value]
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
+def json_text_oracle(document) -> str:
+    """Strict JSON text of ``document`` with ``indent=2`` and a final newline."""
+    text = json.dumps(document, indent=2, allow_nan=False, default=_json_default)
+    return _LITERAL_STRING.sub(r"\1", text) + "\n"
+
+
+def canonical_form_oracle(coeffs, offset: int = 0) -> tuple[tuple[complex, ...], int]:
+    """``(coeffs, offset)`` trimmed to the first and last nonzero, one step per coefficient."""
+    coeffs = tuple(complex(v) for v in coeffs)
+    if not coeffs:
+        raise ValueError("coeffs must be nonempty")
+    offset = int(offset)
+    first = next((i for i, c in enumerate(coeffs) if c != 0), None)
+    if first is None:
+        return (0j,), 0
+    last = max(i for i, c in enumerate(coeffs) if c != 0)
+    return coeffs[first : last + 1], offset + first

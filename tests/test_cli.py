@@ -1,15 +1,21 @@
+import cmath
 import decimal
 import json
+import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tempfile
 import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftop import cli, invertibility, operators, process, wiener
 from shiftop.cli import main
@@ -126,8 +132,8 @@ def test_analyze_writes_out_of_range_norms_as_decimal_literals(runner, tmp_path)
     text = (tmp_path / "report.json").read_text()
     asymmetry = text[text.index('"asymmetry"') :]
     # within float range the value is the float itself, written as its repr
-    assert cli._json_text({"x": cli._json_number(WideFloat.of(0.1))}) == '{\n  "x": 0.1\n}\n'
-    assert cli._json_text({"x": cli._json_number(None)}) == '{\n  "x": null\n}\n'
+    assert cli._json_text({"x": WideFloat.of(0.1)}) == '{\n  "x": 0.1\n}\n'
+    assert cli._json_text({"x": None}) == '{\n  "x": null\n}\n'
     row_text = asymmetry[asymmetry.index('"N": 1030,') :]
     literal = re.search(r'"norm_triangular_inverse": (\d\.\d+e\+\d+),\n', row_text).group(1)
     expected = decimal.Decimal(4) / 3 * decimal.Decimal(2) ** 1029
@@ -300,6 +306,27 @@ def test_analyze_input_errors(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--coeffs", "1e308,1e308", "--out", str(tmp_path)])
     assert result.exit_code == 2
     assert "l1 norm overflows" in result.output
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert", "simulate"])
+@pytest.mark.parametrize("field", ["nan", "inf", "-Infinity", "1e400"])
+def test_non_finite_inline_coefficients_are_named(runner, tmp_path, command, field):
+    result = runner.invoke(main, [command, "--coeffs", f"1,{field}", "--out", str(tmp_path)])
+    assert result.exit_code == 2
+    assert f"--coeffs: field 1 ('{field}') is not finite" in result.output
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert", "simulate"])
+@pytest.mark.parametrize("pair", ["[NaN, 0]", "[0, Infinity]", "[1e400, 0]"])
+def test_non_finite_file_coefficients_are_named(runner, tmp_path, command, pair):
+    path = tmp_path / "symbol.json"
+    path.write_text(f'{{"offset": 0, "coeffs": [{pair}, [0.5, 0]]}}')
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--coeffs-file", str(path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert "coeffs[0]: " in result.output and "is not a pair of finite numbers" in result.output
+    assert not out.exists()
 
 
 def test_analyze_coeffs_file_diagnostics(runner, tmp_path):
@@ -563,6 +590,16 @@ def test_simulate_path_too_short_for_a_cutoff(runner, tmp_path):
     assert metadata["files"] == ["sample.csv", "ergodicity.csv", "metadata.json"]
 
 
+def test_simulate_rejects_negative_max_lag(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["simulate", "--coeffs", "1,0.5", "--T", "50", "--max-lag", "-3", "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert "--max-lag" in result.output
+    assert not out.exists()
+
+
 def test_simulate_divergence_ends_at_last_finite_mse(runner, tmp_path):
     # the root 0.01 makes b_n = 100**n: the ladder passes float max near
     # M = 76 and stops before it, with no numpy warning on the way
@@ -635,6 +672,37 @@ def test_simulate_rerun_is_byte_identical(runner, tmp_path):
     assert runner.invoke(main, args).exit_code == 0
     for name, blob in first.items():
         assert (out / name).read_bytes() == blob
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    roots=st.lists(st.tuples(st.floats(0.5, 0.995), st.floats(0.0, math.pi)), min_size=1, max_size=3),
+    inside=st.booleans(),
+)
+def test_invert_rerun_is_byte_identical_property(roots, inside):
+    # real coefficients from conjugate pairs of roots r e^{+-it}, all inside
+    # the circle (anticausal) or all mirrored outside (causal); a cluster
+    # near the circle may leave the tail uncertified (exit 4, no file)
+    poly = np.array([1.0 + 0j])
+    for radius, angle in roots:
+        root = cmath.rect(radius if inside else 1 / radius, angle)
+        poly = np.convolve(poly, np.convolve([1, -1 / root], [1, -1 / root.conjugate()]))
+    coeffs = ",".join(map(repr, poly.real.tolist()))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        runs = []
+        for _ in range(2):
+            shutil.rmtree(out, ignore_errors=True)
+            result = CliRunner().invoke(main, ["invert", "--coeffs", coeffs, "--out", str(out)])
+            written = out / "inverse.json"
+            runs.append((result.exit_code, result.output, written.exists() and written.read_bytes()))
+    assert runs[0] == runs[1]
+    code, _, text = runs[0]
+    assert code in (0, 4)
+    if code == 0:
+        assert json.loads(text)["side"] == ("anticausal" if inside else "causal")
+    else:
+        assert text is False
 
 
 def test_coeffs_file_drives_invert(runner, tmp_path):

@@ -260,6 +260,31 @@ def test_anticausal_window_example():
     assert wiener.l1_norm(product - ONE) == r.tail_bound
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.floats(0.02, 0.97), st.floats(-math.pi, math.pi)), min_size=1, max_size=4
+    ),
+    log_scale=st.floats(-3, 3),
+    angle=st.floats(-math.pi, math.pi),
+    log_eps=st.floats(-15, -6),
+)
+def test_anticausal_residual_within_certificate_property(roots, log_scale, angle, log_eps):
+    # f g - 1 = -f (1/f - g) on the dropped tail, so ||f g - 1||_1 is at most
+    # ||f||_1 tail_bound, plus rounding: forward substitution leaves a
+    # residual of (q + 1) u |f| |g| and the product rounds as much again, and
+    # complex arithmetic doubles both; the allowance is 4 (q + 1) u ||f||_1 ||g||_1
+    f = from_roots([polar(r, t) for r, t in roots]) * (10.0**log_scale * cmath.exp(1j * angle))
+    try:
+        r = invert_anticausal(f, max_len=1 << 14, eps=10.0**log_eps)
+    except TailNotCertifiedError:
+        assume(False)
+    residual = wiener.l1_norm(wiener.multiply(f, r.inverse) - ONE)
+    l1_f, l1_g = wiener.l1_norm(f), wiener.l1_norm(r.inverse)
+    allowance = 4 * len(f.coeffs) * (np.finfo(float).eps / 2) * l1_f * l1_g
+    assert residual <= l1_f * r.tail_bound + allowance
+
+
 def test_anticausal_monomial():
     r = invert_anticausal(WienerElement((-2,), offset=1))
     assert r.inverse == WienerElement((-0.5,), offset=-1)

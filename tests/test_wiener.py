@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from oracles import canonical_form_oracle
 from shiftop import wiener
 from shiftop.wiener import ONE, ZERO, WienerElement
 
@@ -29,6 +31,31 @@ def test_zero_element_is_canonical():
     assert WienerElement((0, 0, 0), offset=5) == ZERO
     assert ZERO.is_zero and ZERO.offset == 0 and ZERO.coeffs == (0j,)
     assert ZERO.is_causal
+
+
+@pytest.mark.parametrize(
+    "coeffs, offset",
+    [
+        ((-0.0,), 3),
+        ((0.0, -0.0, 0j, complex(-0.0, -0.0)), -2),
+        ((-0.0, 1.5, -0.0), 0),
+        ((complex(0.0, -0.0), 2, 0, complex(-0.0, 3.0), 0), 4),
+        ((math.nan, 0, 1), -1),
+        ((0, complex(0.0, math.nan), 0), 2),
+        ((0, 0, math.inf, -math.inf, 0), 0),
+        ((1, 0, 0, 0, 2j), -3),
+        ((True, 2**70, 0.5, 1 - 1j), 0),
+        (np.zeros(5), 7),
+        (np.array([0, -1e-320, 0], dtype=complex), 0),
+    ],
+)
+def test_canonical_form_matches_stepwise_trim(coeffs, offset):
+    # NaN counts as nonzero and -0.0 as zero, as `c != 0` has it; reprs tell
+    # -0.0 and NaN apart where == does not
+    f = WienerElement(coeffs, offset)
+    want_coeffs, want_offset = canonical_form_oracle(coeffs, offset)
+    assert type(f.coeffs) is tuple and all(type(c) is complex for c in f.coeffs)
+    assert (repr(f.coeffs), f.offset) == (repr(want_coeffs), want_offset)
 
 
 def test_empty_coeffs_rejected():
@@ -214,6 +241,21 @@ def test_json_field_diagnostics():
         wiener.from_json_dict({"offset": 0, "coeffs": [[1, 0], [1]]})
     with pytest.raises(ValueError):
         wiener.from_json_dict([1, 2])
+
+
+@pytest.mark.parametrize(
+    "pair", ["[NaN, 0]", "[0, Infinity]", "[-Infinity, 1]", "[1e400, 0]", "[0, 1" + "0" * 400 + "]"]
+)
+def test_json_rejects_non_finite_coefficients(pair):
+    # json.loads reads NaN, Infinity and 1e400 as floats that are not finite,
+    # and an integer past float max does not convert at all
+    with pytest.raises(ValueError, match=r"coeffs\[1\]: .* is not a pair of finite numbers"):
+        wiener.from_json_dict(json.loads(f'{{"coeffs": [[1, 0], {pair}]}}'))
+
+
+def test_save_rejects_non_finite_coefficients(tmp_path):
+    with pytest.raises(ValueError):
+        wiener.save_coefficients(WienerElement((1, math.nan)), tmp_path / "nan.json")
 
 
 def test_file_round_trip(tmp_path):
