@@ -4,11 +4,13 @@ Every command reads a symbol either from ``--coeffs`` (inline, real,
 comma-separated, ascending powers from z^0) or from ``--coeffs-file`` (the
 JSON coefficient format, which also carries offsets and imaginary parts),
 writes machine-readable reports under ``--out``, and echoes a short human
-summary.  Reruns with identical configuration produce byte-identical files:
-floats are pinned to 17 significant digits in CSV cells, JSON numbers use
-exact round-trip repr, and all randomness is keyed by the seed.  JSON is
-strict (RFC 8259): a value with no finite float is ``null``, and a norm past
-float max is a decimal literal with 17 significant digits.
+summary.  This module alone lays out the output files; only ``sample.csv``
+has its own encoder, :func:`shiftop.process.sample_to_csv`.  Reruns with
+identical configuration produce byte-identical files: floats are pinned to
+17 significant digits in CSV cells, JSON numbers use exact round-trip repr,
+and all randomness is keyed by the seed.  JSON is strict (RFC 8259): a value
+with no finite float is ``null``, and a norm past float max is a decimal
+literal with 17 significant digits.
 
 Exit codes: 0 success, 2 invalid input, 3 borderline symbol (a root on the
 circle within ``--tol``), 4 truncation tail not certified.
@@ -17,7 +19,6 @@ circle within ``--tol``), 4 truncation tail not certified.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import os
 import sys
@@ -67,29 +68,17 @@ def _parse_inline_coeffs(text: str) -> WienerElement:
     return WienerElement(values)
 
 
-def _load_coeffs_file(path: str) -> WienerElement:
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"--coeffs-file: {exc}") from None
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(
-            f"--coeffs-file {path}: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from None
-    try:
-        return wiener.from_json_dict(data)
-    except ValueError as exc:
-        raise InputError(f"--coeffs-file {path}: {exc}") from None
-
-
 def _resolve_symbol(coeffs: str | None, coeffs_file: str | None) -> WienerElement:
     if (coeffs is None) == (coeffs_file is None):
         raise InputError("provide exactly one of --coeffs or --coeffs-file")
     if coeffs is not None:
         return _parse_inline_coeffs(coeffs)
-    return _load_coeffs_file(coeffs_file)
+    try:
+        return wiener.load_coefficients(coeffs_file)
+    except OSError as exc:
+        raise InputError(f"--coeffs-file: {exc}") from None
+    except ValueError as exc:
+        raise InputError(f"--coeffs-file {coeffs_file}: {exc}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -100,6 +89,14 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     if not dims:
         raise InputError("--dims: at least one dimension required")
     return dims
+
+
+def _eps_option(ctx, param, value: float) -> float:
+    """Reject an ``--eps`` no tail bound can honestly certify, before any work."""
+    try:
+        return invertibility._checked_eps(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc)) from None
 
 
 def _resolve_seed(seed: int) -> int:
@@ -120,6 +117,18 @@ def _write_text(path: Path, text: str | bytes | bytearray) -> None:
     else:
         tmp.write_bytes(text)
     os.replace(tmp, path)
+
+
+def _csv_text(header: str, rows) -> str:
+    """``header`` and one line per row: an int cell by ``str``, a float by
+    ``format(x, ".17g")``, a :class:`WideFloat` by ``.text()``."""
+
+    def cell(x) -> str:
+        if isinstance(x, WideFloat):
+            return x.text()
+        return format(x, ".17g") if isinstance(x, float) else str(x)
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 def _json_text(document) -> str:
@@ -286,8 +295,24 @@ def cmd_analyze(
     }
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "report.json", _json_text(report))
-    _write_text(out / "isometry.csv", operators.isometry_csv(sweep))
-    _write_text(out / "asymmetry.csv", invertibility.asymmetry_csv(asym))
+    _write_text(
+        out / "isometry.csv",
+        _csv_text("N,norm,gap", [(r.dim, r.norm, r.gap) for r in sweep]),
+    )
+    # a missing inverse norm (singular matrix) reads inf where report.json has null
+    asym_rows = [
+        (r.dim, r.wide_norm_circulant_inverse, r.wide_norm_triangular_inverse,
+         r.cond_circulant, r.wide_cond_triangular)
+        for r in asym
+    ]
+    asym_rows = [[math.inf if x is None else x for x in row] for row in asym_rows]
+    _write_text(
+        out / "asymmetry.csv",
+        _csv_text(
+            "N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular",
+            asym_rows,
+        ),
+    )
     click.echo(
         f"verdict {classification.verdict.value}: "
         f"{classification.inside} inside / {classification.on_circle} on / "
@@ -380,18 +405,33 @@ def cmd_simulate(
     except ValueError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_INPUT_ERROR
-    metadata = process.metadata_sidecar(sample)
-    metadata["verdict"] = verdict.value
-    metadata["max_lag"] = max_lag
     files = ["sample.csv", "ergodicity.csv", "metadata.json"]
     if table_name is not None:
         files.insert(1, table_name)
-    metadata["files"] = files
+    # seed and generator provenance: enough to replay the sample
+    metadata = {
+        "seed": sample.seed,
+        "generator": process.GENERATOR_NAME,
+        "numpy_version": np.__version__,
+        "sigma": sample.sigma,
+        "t_len": sample.t_len,
+        "warmup": sample.warmup,
+        "transfer": wiener.to_json_dict(sample.transfer),
+        "verdict": verdict.value,
+        "max_lag": max_lag,
+        "files": files,
+    }
     out.mkdir(parents=True, exist_ok=True)
     _write_text(out / "sample.csv", process.sample_to_csv(sample))
-    _write_text(out / "ergodicity.csv", process.ergodic_csv(ergodic_rows))
+    _write_text(
+        out / "ergodicity.csv",
+        _csv_text(
+            "T,abs_mean,predicted_std",
+            [(r.t_len, r.abs_mean, r.predicted_std) for r in ergodic_rows],
+        ),
+    )
     if table_name is not None:
-        _write_text(out / table_name, process.reconstruction_csv(report))
+        _write_text(out / table_name, _csv_text("M,mse", report.mse_per_cutoff))
     _write_text(out / "metadata.json", _json_text(metadata))
     click.echo(
         f"simulated {t_len} steps (seed {seed}, sigma {sigma:.6g}), verdict {verdict.value}"
@@ -451,7 +491,7 @@ def main():
 @click.option("--dims", default="4,16,64,256", show_default=True, help="Truncation dimensions.")
 @click.option("--grid", default=1 << 16, show_default=True, help="Circle grid size for sup norm.")
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, help="Inverse tail certification target.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_eps_option, help="Inverse tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
@@ -471,7 +511,7 @@ def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
     help="Which one-sided inverse to compute.",
 )
 @click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, help="Tail certification target.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_eps_option, help="Tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def invert_command(coeffs, coeffs_file, side, tol, eps, out):

@@ -37,7 +37,6 @@ __all__ = [
     "invert_causal",
     "invert_anticausal",
     "asymmetry_report",
-    "asymmetry_csv",
 ]
 
 DEFAULT_ROOT_TOL = 1e-9
@@ -252,8 +251,18 @@ def invert_causal(
     return _series_inverse(f, classification.roots, max_len, eps)
 
 
+def _checked_eps(eps: float) -> float:
+    """``eps`` as a float, positive and finite: a bound that underflows to 0
+    would certify ``eps = 0``, and none certifies a NaN."""
+    eps = float(eps)
+    if not (math.isfinite(eps) and eps > 0):
+        raise ValueError(f"eps must be a positive finite number, got {eps!r}")
+    return eps
+
+
 def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> InversionResult:
     """The certified causal series inverse of ``f``, its tail bound taken from ``roots``."""
+    eps = _checked_eps(eps)
     a = f.to_array()
     q = len(a) - 1
     if q == 0:
@@ -261,7 +270,7 @@ def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> Invers
             length, bound, g = 1, 0.0, 1.0 / a
     else:
         rho = float(max(1.0 / np.abs(roots)))
-        length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), float(eps))
+        length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), eps)
         g = _series_inverse_prefix(a, length)
     if not np.all(np.isfinite(g)):
         raise ValueError(f"inverse coefficients overflow float range (|a_0| = {abs(a[0]):.3g})")
@@ -533,19 +542,3 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
             AsymmetryRow(dim, cond_circ, singular, norm_tri, wide, route, steps, change, wide_circ)
         )
     return rows
-
-
-def _csv_cell(wide: WideFloat | None) -> str:
-    """``%.17g`` of ``wide`` (past float max its decimal literal); ``inf`` for ``None``."""
-    return "inf" if wide is None else wide.text()
-
-
-def asymmetry_csv(rows) -> str:
-    lines = ["N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular"]
-    for r in rows:
-        lines.append(
-            f"{r.dim},{_csv_cell(r.wide_norm_circulant_inverse)},"
-            f"{_csv_cell(r.wide_norm_triangular_inverse)},"
-            f"{r.cond_circulant:.17g},{_csv_cell(r.wide_cond_triangular)}"
-        )
-    return "\n".join(lines) + "\n"

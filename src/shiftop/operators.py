@@ -43,7 +43,6 @@ __all__ = [
     "isometry_dims",
     "isometry_rows",
     "isometry_sweep",
-    "isometry_csv",
 ]
 
 # Szego vectors are only defined strictly inside the circle.
@@ -284,10 +283,3 @@ def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[Iso
     sup = wiener.sup_norm(f, grid_size)
     norms = [compression_norm(f, dim) for dim in dims]
     return isometry_rows(dims, norms, sup)
-
-
-def isometry_csv(rows) -> str:
-    lines = ["N,norm,gap"]
-    for r in rows:
-        lines.append(f"{r.dim},{r.norm:.17g},{r.gap:.17g}")
-    return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ convergence of l1 filters, sample-mean scaling, and recovery of the
 invertible transfer from exact autocovariances.
 
 All randomness flows through numpy's Philox generator keyed directly by the
-user seed; distinct seeds give independent streams, and the generator name
-and numpy version ride along in the export metadata.
+user seed; distinct seeds give independent streams.  Of the output files
+only ``sample.csv`` is encoded here (:func:`sample_to_csv`), a row block at
+a time with array operations.
 """
 
 from __future__ import annotations
@@ -44,10 +45,6 @@ __all__ = [
     "ma_autocovariance",
     "wold_estimate",
     "sample_to_csv",
-    "metadata_sidecar",
-    "reconstruction_csv",
-    "filter_csv",
-    "ergodic_csv",
 ]
 
 GENERATOR_NAME = "numpy.random.Philox"
@@ -112,8 +109,8 @@ def simulate(f: WienerElement, sigma: float, t_len: int, seed: int) -> ProcessSa
     if t_len < 1:
         raise ValueError("t_len must be at least 1")
     sigma = float(sigma)
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be a finite nonnegative number, got {sigma!r}")
     seed = int(seed)
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
@@ -468,7 +465,7 @@ def wold_estimate(autocov, order: int) -> WoldEstimate:
     return WoldEstimate(WienerElement(tuple(a)), sigma2, verdict)
 
 
-# -- export helpers ---------------------------------------------------------
+# -- the sample.csv encoder --------------------------------------------------
 
 
 # sample.csv is encoded CSV_BLOCK_ROWS rows at a time with array operations.
@@ -641,41 +638,3 @@ def sample_to_csv(sample: ProcessSample) -> bytearray:
         text += _encode_rows(t0, path[block], eps[block], t_words)
     text += b"\n"
     return text
-
-
-def metadata_sidecar(sample: ProcessSample) -> dict:
-    """Seed and generator provenance for a stochastic export."""
-    return {
-        "seed": sample.seed,
-        "generator": GENERATOR_NAME,
-        "numpy_version": np.__version__,
-        "sigma": sample.sigma,
-        "t_len": sample.t_len,
-        "warmup": sample.warmup,
-        "transfer": wiener.to_json_dict(sample.transfer),
-    }
-
-
-def _two_column_csv(header: str, rows) -> str:
-    lines = [header]
-    for first, second in rows:
-        lines.append(f"{first},{second:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def reconstruction_csv(report: ReconstructionReport) -> str:
-    return _two_column_csv("M,mse", report.mse_per_cutoff)
-
-
-def filter_csv(rows) -> str:
-    lines = ["cutoff,max_deviation,mse"]
-    for r in rows:
-        lines.append(f"{r.cutoff},{r.max_deviation:.17g},{r.mse:.17g}")
-    return "\n".join(lines) + "\n"
-
-
-def ergodic_csv(rows) -> str:
-    lines = ["T,abs_mean,predicted_std"]
-    for r in rows:
-        lines.append(f"{r.t_len},{r.abs_mean:.17g},{r.predicted_std:.17g}")
-    return "\n".join(lines) + "\n"

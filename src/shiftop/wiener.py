@@ -321,9 +321,14 @@ def from_json_dict(data) -> WienerElement:
 
 
 def load_coefficients(path) -> WienerElement:
-    """Load an element from a JSON coefficient file."""
+    """Load an element from a JSON coefficient file; a ``ValueError`` names the
+    line and column of a syntax error, or the offending field."""
     text = Path(path).read_text()
-    return from_json_dict(json.loads(text))
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    return from_json_dict(data)
 
 
 def save_coefficients(f: WienerElement, path) -> None:

@@ -276,7 +276,10 @@ def test_analyze_isometry_matches_sweep(runner, tmp_path):
     sweep = operators.isometry_sweep(f, dims, grid)
     report = read_json(out / "report.json")
     assert report["isometry"] == [{"N": r.dim, "norm": r.norm, "gap": r.gap} for r in sweep]
-    assert (out / "isometry.csv").read_text() == operators.isometry_csv(sweep)
+    lines = (out / "isometry.csv").read_text().splitlines()
+    assert lines[0] == "N,norm,gap"
+    rows = [(int(n), float(norm), float(gap)) for n, norm, gap in (x.split(",") for x in lines[1:])]
+    assert rows == [(r.dim, r.norm, r.gap) for r in sweep]
 
 
 def test_analyze_input_errors(runner, tmp_path):
@@ -329,6 +332,41 @@ def test_non_finite_file_coefficients_are_named(runner, tmp_path, command, pair)
     assert not out.exists()
 
 
+def test_csv_text_writes_each_cell_type():
+    # an int, a float, inf, a WideFloat past float max and a None that
+    # cmd_analyze maps to inf
+    rows = [(3, 0.1, math.inf), (12, WideFloat(0.75, 1030), math.inf)]
+    assert cli._csv_text("M,a,b", rows) == (
+        "M,a,b\n3,0.10000000000000001,inf\n12,8.6289270473391164e+309,inf\n"
+    )
+    assert cli._csv_text("M,mse", []) == "M,mse\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert"])
+@pytest.mark.parametrize("eps", ["nan", "-1", "0", "inf"])
+def test_invalid_eps_is_rejected(runner, tmp_path, command, eps):
+    # 0 used to pass on a bound that underflowed to 0; nan and -1 read as a
+    # certification failure; inf reached the JSON writer
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, "--coeffs", "1,-0.5", f"--eps={eps}", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "'--eps'" in result.output and "positive finite number" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf"])
+def test_invalid_sigma_is_rejected(runner, tmp_path, sigma):
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["simulate", "--coeffs", "1,0.5", "--T", "20", "--sigma", sigma, "--out", str(out)]
+    )
+    assert result.exit_code == 2
+    assert f"sigma must be a finite nonnegative number, got {sigma}" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
 def test_analyze_coeffs_file_diagnostics(runner, tmp_path):
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
@@ -341,6 +379,12 @@ def test_analyze_coeffs_file_diagnostics(runner, tmp_path):
     result = runner.invoke(main, ["analyze", "--coeffs-file", str(bad_pair)])
     assert result.exit_code == 2
     assert "coeffs[1]" in result.output
+
+    not_text = tmp_path / "bytes.json"
+    not_text.write_bytes(b"\xff\xfe{}")
+    result = runner.invoke(main, ["analyze", "--coeffs-file", str(not_text)])
+    assert result.exit_code == 2
+    assert "can't decode byte 0xff" in result.output
 
 
 def test_analyze_rejects_anticausal_symbol(runner, tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
@@ -11,6 +12,7 @@ from scipy.linalg import solve_triangular
 
 from shiftop import invertibility as inv
 from shiftop import operators, wiener
+from shiftop.cli import main
 from shiftop.invertibility import (
     InversionSide,
     NotInvertibleError,
@@ -292,6 +294,14 @@ def test_anticausal_monomial():
     assert wiener.multiply(WienerElement((-2,), offset=1), r.inverse) == ONE
 
 
+@pytest.mark.parametrize("eps", [math.nan, -1.0, 0.0, math.inf])
+def test_inversions_reject_invalid_eps(eps):
+    for invert, f in ((invert_causal, WienerElement((1, -0.5))), (invert_causal, ONE),
+                      (invert_anticausal, WienerElement((1, -2)))):
+        with pytest.raises(ValueError, match="eps must be a positive finite number"):
+            invert(f, eps=eps)
+
+
 def test_anticausal_rejects_constants():
     with pytest.raises(ValueError, match="constant"):
         invert_anticausal(WienerElement((2,)))
@@ -420,10 +430,12 @@ def test_asymmetry_input_validation():
         asymmetry_report(WienerElement((1, 0, 0, 1)), dims=(2,))
 
 
-def test_asymmetry_csv_layout():
-    rows = asymmetry_report(WienerElement((1, -1)), dims=(4,))
-    text = inv.asymmetry_csv(rows)
-    lines = text.strip().splitlines()
+def test_asymmetry_csv_layout(tmp_path):
+    # the root z = 1 makes the circulant singular: its inverse norm reads inf
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", "--coeffs", "1,-1", "--dims", "4", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "asymmetry.csv").read_text().strip().splitlines()
     assert lines[0] == (
         "N,norm_circulant_inverse,norm_triangular_inverse,"
         "cond_circulant,cond_triangular"

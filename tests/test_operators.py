@@ -2,11 +2,13 @@ import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from shiftop import operators, wiener
+from shiftop import wiener
+from shiftop.cli import main
 from shiftop.operators import (
     OperatorKind,
     SzegoVector,
@@ -367,10 +369,11 @@ def test_isometry_sweep_requires_increasing_dims():
         isometry_sweep(ONE, dims=(16, 8))
 
 
-def test_isometry_csv_layout():
-    rows = isometry_sweep(ONE, dims=(4, 16))
-    text = operators.isometry_csv(rows)
-    lines = text.strip().splitlines()
+def test_isometry_csv_layout(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["analyze", "--coeffs", "1", "--dims", "4,16", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    lines = (out / "isometry.csv").read_text().strip().splitlines()
     assert lines[0] == "N,norm,gap"
     assert len(lines) == 3
     assert lines[1].startswith("4,")

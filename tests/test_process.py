@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from oracles import ar_ladder_oracle, sample_csv_oracle
 
 from shiftop import process, wiener
+from shiftop.cli import main
 from shiftop.invertibility import NotInvertibleError, Verdict, invert_causal
 from shiftop.process import (
     divergence_demo,
@@ -71,8 +73,9 @@ def test_simulate_validation():
         simulate(WienerElement((1,), offset=-1), 1.0, 10, 0)
     with pytest.raises(ValueError, match="real"):
         simulate(WienerElement((1, 1j)), 1.0, 10, 0)
-    with pytest.raises(ValueError):
-        simulate(ONE, -1.0, 10, 0)
+    for sigma in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="sigma"):
+            simulate(ONE, sigma, 10, 0)
     with pytest.raises(ValueError):
         simulate(ONE, 1.0, 0, 0)
     with pytest.raises(ValueError):
@@ -611,9 +614,22 @@ def test_csv_cells_match_format_property(values):
     assert _csv_cells(values) == [format(v, ".17g") for v in values]
 
 
-def test_metadata_sidecar_contents():
-    sample = simulate(MA1, 0.5, 20, 9)
-    meta = process.metadata_sidecar(sample)
+def _simulate_command(tmp_path, monkeypatch, *args):
+    """Run ``shiftop simulate --coeffs 1,0.5`` and return its output directory."""
+    monkeypatch.delenv("SHIFTOP_SEED", raising=False)
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["simulate", "--coeffs", "1,0.5", *args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    return out
+
+
+def test_metadata_sidecar_contents(tmp_path, monkeypatch):
+    out = _simulate_command(tmp_path, monkeypatch, "--sigma", "0.5", "--T", "20", "--seed", "9")
+    meta = json.loads((out / "metadata.json").read_text())
+    assert list(meta) == [
+        "seed", "generator", "numpy_version", "sigma", "t_len", "warmup", "transfer",
+        "verdict", "max_lag", "files",
+    ]
     assert meta["seed"] == 9
     assert meta["generator"] == "numpy.random.Philox"
     assert meta["numpy_version"] == np.__version__
@@ -621,14 +637,9 @@ def test_metadata_sidecar_contents():
     assert meta["t_len"] == 20
     assert meta["warmup"] == 2
     assert wiener.from_json_dict(meta["transfer"]) == MA1
-    json.dumps(meta)
 
 
-def test_tabular_csv_headers():
-    sample = simulate(MA1, 1.0, 400, 0)
-    recon = reconstruct_innovations(sample, 3)
-    assert process.reconstruction_csv(recon).splitlines()[0] == "M,mse"
-    conv = l1_filter_convergence(sample, ONE, (0,))
-    assert process.filter_csv(conv).splitlines()[0] == "cutoff,max_deviation,mse"
-    erg = ergodic_mean_check(MA1, 1.0, (64,), 0)
-    assert process.ergodic_csv(erg).splitlines()[0] == "T,abs_mean,predicted_std"
+def test_tabular_csv_headers(tmp_path, monkeypatch):
+    out = _simulate_command(tmp_path, monkeypatch, "--T", "400", "--max-lag", "3")
+    assert (out / "reconstruction.csv").read_text().splitlines()[0] == "M,mse"
+    assert (out / "ergodicity.csv").read_text().splitlines()[0] == "T,abs_mean,predicted_std"

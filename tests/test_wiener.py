@@ -265,3 +265,12 @@ def test_file_round_trip(tmp_path):
     data = json.loads(path.read_text())
     assert set(data) == {"offset", "coeffs"}
     assert wiener.load_coefficients(path) == f
+
+
+def test_load_names_the_syntax_error_position(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text('{"offset": 0,\n "coeffs": [[1, 0],]}')
+    with pytest.raises(ValueError, match=r"^line 2 column 20: Expecting value$"):
+        wiener.load_coefficients(path)
+    with pytest.raises(OSError):
+        wiener.load_coefficients(tmp_path / "missing.json")
