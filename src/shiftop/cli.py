@@ -5,7 +5,10 @@ comma-separated, ascending powers from z^0) or from ``--coeffs-file`` (the
 JSON coefficient format, which also carries offsets and imaginary parts),
 writes machine-readable reports under ``--out``, and echoes a short human
 summary.  This module alone lays out the output files; only ``sample.csv``
-has its own encoder, :func:`shiftop.process.sample_to_csv`.  Reruns with
+has its own encoder, :func:`shiftop.process.sample_to_csv`, which streams it
+to disk a row block at a time.  Every file is written to ``<name>.tmp`` and
+renamed over ``<name>`` once complete; a write that fails removes its temp
+file and leaves an existing ``<name>`` as it was.  Reruns with
 identical configuration produce byte-identical files: floats are pinned to
 17 significant digits in CSV cells, JSON numbers use exact round-trip repr,
 and all randomness is keyed by the seed.  JSON is strict (RFC 8259): a value
@@ -13,11 +16,15 @@ with no finite float is ``null``, and a norm past float max is a decimal
 literal with 17 significant digits.
 
 Exit codes: 0 success, 2 invalid input, 3 borderline symbol (a root on the
-circle within ``--tol``), 4 truncation tail not certified.
+circle within ``--tol``), 4 truncation tail not certified, 5 numerical
+failure (a linear algebra routine, such as the eigenvalue solver behind the
+root classification, failed on valid input).  No file is written on a
+nonzero exit.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -41,6 +48,7 @@ EXIT_OK = 0
 EXIT_INPUT_ERROR = 2
 EXIT_BORDERLINE = 3
 EXIT_TAIL_NOT_CERTIFIED = 4
+EXIT_NUMERICAL_FAILURE = 5
 
 # Truncation cap for CLI inversions; certification failures exit with code 4.
 INVERT_MAX_LEN = 65536
@@ -109,14 +117,40 @@ def _resolve_seed(seed: int) -> int:
         raise InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
-def _write_text(path: Path, text: str | bytes | bytearray) -> None:
-    """Write ``text`` through a temporary file; bytes-like content goes out as is."""
+def _error_exit(exc: ValueError) -> int:
+    """Report ``exc`` and return its exit code.
+
+    numpy's ``LinAlgError`` subclasses ``ValueError`` but means a numerical
+    routine failed on valid input, so it exits 5, not 2.
+    """
+    if isinstance(exc, np.linalg.LinAlgError):
+        click.echo(f"numerical failure: {exc}", err=True)
+        return EXIT_NUMERICAL_FAILURE
+    click.echo(f"error: {exc}", err=True)
+    return EXIT_INPUT_ERROR
+
+
+@contextlib.contextmanager
+def _replacing(path: Path):
+    """A binary file that replaces ``path`` when the ``with`` body completes.
+
+    It is ``<name>.tmp`` until then; if the body raises, the temp file is
+    removed and ``path`` keeps its bytes.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    if isinstance(text, str):
-        tmp.write_text(text)
-    else:
-        tmp.write_bytes(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as handle:
+            yield handle
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write ``text`` through a temporary file."""
+    with _replacing(path) as handle:
+        handle.write(text.encode())
 
 
 def _csv_text(header: str, rows) -> str:
@@ -233,6 +267,8 @@ def _inversion_block(f: WienerElement, classification, eps: float):
             # the bound itself overflows for a high degree near the circle
             "achieved_bound": bound if math.isfinite(bound) else None,
         }
+    except np.linalg.LinAlgError:  # a numerical failure, not a missing inverse: exit 5
+        raise
     except ValueError as exc:  # inverse coefficients past float max
         return {"available": False, "reason": str(exc)}
     return {
@@ -257,9 +293,9 @@ def cmd_analyze(
             raise ValueError("coefficients too large: their l1 norm overflows")
         sup = wiener.sup_norm(f, grid_size)
         asym = invertibility.asymmetry_report(f, dims)
+        inversion = _inversion_block(f, classification, eps)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT_ERROR
+        return _error_exit(exc)
     # the isometry sweep's norms are the asymmetry rows' ||T_N(f)||
     sweep = operators.isometry_rows(dims, [r.norm_triangular for r in asym], sup)
     report = {
@@ -276,7 +312,7 @@ def cmd_analyze(
             "tol": classification.tol,
             "verdict": classification.verdict.value,
         },
-        "inversion": _inversion_block(f, classification, eps),
+        "inversion": inversion,
         "isometry": [
             {"N": r.dim, "norm": r.norm, "gap": r.gap} for r in sweep
         ],
@@ -331,8 +367,7 @@ def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -
     try:
         classification = invertibility.classify_roots(f, tol)
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT_ERROR
+        return _error_exit(exc)
     if classification.on_circle > 0:
         click.echo(
             "borderline symbol: a root lies on the unit circle within "
@@ -359,8 +394,7 @@ def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -
         )
         return EXIT_TAIL_NOT_CERTIFIED
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT_ERROR
+        return _error_exit(exc)
     document = {
         "offset": result.inverse.offset,
         "coeffs": result.inverse.to_array(),
@@ -391,9 +425,12 @@ def cmd_simulate(
     # short paths cannot support the full requested ladder
     max_lag = min(int(max_lag), t_len - 1)
     try:
+        # the check's paths are dropped before the exported sample is drawn, so
+        # no two long paths are held at once; every draw starts a fresh
+        # generator from its own seed, so the order moves no output byte
+        ergodic_rows = process.ergodic_mean_check(f, sigma, _ergodic_ladder(t_len), seed)
         sample = process.simulate(f, sigma, t_len, seed)
         classification = invertibility.classify_roots(f, tol)
-        ergodic_rows = process.ergodic_mean_check(f, sigma, _ergodic_ladder(t_len), seed)
         verdict = classification.verdict
         table_name = None
         if verdict is not Verdict.BORDERLINE and max_lag >= 1:
@@ -403,8 +440,7 @@ def cmd_simulate(
             invertible = verdict is Verdict.INVERTIBLE
             table_name = "reconstruction.csv" if invertible else "divergence.csv"
     except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_INPUT_ERROR
+        return _error_exit(exc)
     files = ["sample.csv", "ergodicity.csv", "metadata.json"]
     if table_name is not None:
         files.insert(1, table_name)
@@ -422,7 +458,8 @@ def cmd_simulate(
         "files": files,
     }
     out.mkdir(parents=True, exist_ok=True)
-    _write_text(out / "sample.csv", process.sample_to_csv(sample))
+    with _replacing(out / "sample.csv") as handle:
+        process.sample_to_csv(sample, handle)
     _write_text(
         out / "ergodicity.csv",
         _csv_text(
@@ -521,8 +558,16 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
 
 @main.command("simulate")
 @_symbol_options
-@click.option("--T", "t_len", default=10_000, show_default=True, help="Path length.")
-@click.option("--seed", default=0, show_default=True, help=f"PRNG seed ({SEED_ENV_VAR} overrides).")
+@click.option(
+    "--T", "t_len", default=10_000, show_default=True, type=click.IntRange(min=1), help="Path length."
+)
+@click.option(
+    "--seed",
+    default=0,
+    show_default=True,
+    type=click.IntRange(min=0),
+    help=f"PRNG seed ({SEED_ENV_VAR} overrides).",
+)
 @click.option("--sigma", default=1.0, show_default=True, help="Innovation standard deviation.")
 @click.option(
     "--max-lag",

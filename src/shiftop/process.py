@@ -13,13 +13,15 @@ invertible transfer from exact autocovariances.
 All randomness flows through numpy's Philox generator keyed directly by the
 user seed; distinct seeds give independent streams.  Of the output files
 only ``sample.csv`` is encoded here (:func:`sample_to_csv`), a row block at
-a time with array operations.
+a time with array operations; given a file, each block is written to it as
+soon as it is encoded, so a path's CSV text is never held whole.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -620,21 +622,25 @@ def _encode_rows(t0: int, path: np.ndarray, eps: np.ndarray, t_words: int) -> by
     return rows.tobytes().translate(None, b"\0")
 
 
-def sample_to_csv(sample: ProcessSample) -> bytearray:
+def sample_to_csv(sample: ProcessSample, out: BinaryIO | None = None) -> bytearray | None:
     """CSV with header ``t,X_t,eps_t`` ('.' decimal separator, %.17g cells), as ASCII bytes.
 
-    Every cell is byte for byte the text of ``format(x, ".17g")``.  The
-    buffer is returned as built, with no decode to ``str``, so the caller can
-    write it to disk without a copy.
+    Every cell is byte for byte the text of ``format(x, ".17g")``.  With no
+    ``out`` the text is returned as one ``bytearray``, with no decode to
+    ``str``.  Given a writable binary file ``out``, each block of
+    ``CSV_BLOCK_ROWS`` rows is written to it as soon as it is encoded and
+    ``None`` is returned, so the whole text is never in memory at once.
     """
     path = sample.path
     eps = sample.aligned_innovations
     t_words = -(-(len(str(sample.t_len - 1)) + 1) // 8)  # '\n' and the digits of t
-    # one growing buffer: a list of block strings interleaves with the block
-    # temporaries on the heap and can keep 50 MB more of it resident
-    text = bytearray(b"t,X_t,eps_t")
+    # in memory, one growing buffer: a list of block strings interleaves with
+    # the block temporaries on the heap and can keep 50 MB more of it resident
+    text = bytearray() if out is None else None
+    write = text.extend if out is None else out.write
+    write(b"t,X_t,eps_t")
     for t0 in range(0, sample.t_len, CSV_BLOCK_ROWS):
         block = slice(t0, t0 + CSV_BLOCK_ROWS)
-        text += _encode_rows(t0, path[block], eps[block], t_words)
-    text += b"\n"
+        write(_encode_rows(t0, path[block], eps[block], t_words))
+    write(b"\n")
     return text

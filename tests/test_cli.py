@@ -1,5 +1,6 @@
 import cmath
 import decimal
+import errno
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -635,13 +637,18 @@ def test_simulate_path_too_short_for_a_cutoff(runner, tmp_path):
 
 
 def test_simulate_rejects_negative_max_lag(runner, tmp_path):
+    # --T and --seed are range-checked on their options too, so each message
+    # names the flag
     out = tmp_path / "out"
-    result = runner.invoke(
-        main, ["simulate", "--coeffs", "1,0.5", "--T", "50", "--max-lag", "-3", "--out", str(out)]
-    )
-    assert result.exit_code == 2
-    assert "--max-lag" in result.output
-    assert not out.exists()
+    for option, value in (("--max-lag", "-3"), ("--T", "0"), ("--seed", "-1")):
+        result = runner.invoke(
+            main,
+            ["simulate", "--coeffs", "1,0.5", option, value, "--out", str(out)],
+            env={"SHIFTOP_SEED": None},
+        )
+        assert result.exit_code == 2, option
+        assert f"Invalid value for '{option}'" in result.output
+        assert not out.exists()
 
 
 def test_simulate_divergence_ends_at_last_finite_mse(runner, tmp_path):
@@ -701,6 +708,97 @@ def test_simulate_seed_env_override(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "SHIFTOP_SEED" in result.output
+
+    result = runner.invoke(
+        main,
+        ["simulate", "--coeffs", "1,0.5", "--T", "50", "--out", str(tmp_path / "negative")],
+        env={"SHIFTOP_SEED": "-1"},
+    )
+    assert result.exit_code == 2
+    assert "seed must be a nonnegative integer" in result.output
+    assert not (tmp_path / "negative").exists()
+
+
+def test_simulate_memory_is_below_its_sample_csv(tmp_path):
+    # the sample is streamed to disk a row block at a time, and the ergodic
+    # check's paths are dropped before the exported one is drawn: the peak is
+    # the sample (16 bytes a step) and one block, not the CSV text (47 bytes
+    # a step); numpy reports its buffers to tracemalloc
+    f = WienerElement((1.0, 0.5))
+    tol = invertibility.DEFAULT_ROOT_TOL
+    # a short run first pays the lazy imports, which are no part of the peak
+    assert cli.cmd_simulate(f, 100, 1, 1.0, 20, tol, tmp_path / "warm-up") == 0
+    tracemalloc.start()
+    try:
+        code = cli.cmd_simulate(f, 400_000, 1, 1.0, 20, tol, tmp_path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.75 * (tmp_path / "sample.csv").stat().st_size
+
+
+@pytest.mark.parametrize("failure", ["encoder", "rename"])
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, failure):
+    # the encoder fails on the second block, after the first went to
+    # sample.csv.tmp; or a directory stands in the way of metadata.json when
+    # its complete temp file is renamed.  The error propagates, no temp file
+    # remains, and the file it would have replaced keeps its bytes
+    f = WienerElement((1.0, 0.5))
+    t_len = process.CSV_BLOCK_ROWS + 1
+    tol = invertibility.DEFAULT_ROOT_TOL
+    assert cli.cmd_simulate(f, t_len, 1, 1.0, 3, tol, tmp_path) == 0
+    sample_csv = (tmp_path / "sample.csv").read_bytes()
+    if failure == "encoder":
+        encode, blocks = process._encode_rows, []
+
+        def failing(*args):
+            blocks.append(args[0])
+            if len(blocks) == 2:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return encode(*args)
+
+        monkeypatch.setattr(process, "_encode_rows", failing)
+        expected = OSError
+    else:
+        (tmp_path / "metadata.json").unlink()
+        (tmp_path / "metadata.json").mkdir()
+        expected = IsADirectoryError
+    with pytest.raises(expected):
+        cli.cmd_simulate(f, t_len, 2, 1.0, 3, tol, tmp_path)
+    assert not list(tmp_path.glob("*.tmp"))
+    if failure == "encoder":
+        assert (tmp_path / "sample.csv").read_bytes() == sample_csv
+    else:
+        assert (tmp_path / "metadata.json").is_dir()
+
+
+@pytest.mark.parametrize(
+    "command, failing_call",
+    [("analyze", 1), ("analyze", 3), ("invert", 1), ("invert", 2), ("simulate", 1)],
+    ids=["analyze-classify", "analyze-inversion", "invert-classify", "invert-inversion", "simulate"],
+)
+def test_numerical_failure_exits_5(runner, tmp_path, monkeypatch, command, failing_call):
+    # numpy's LinAlgError subclasses ValueError; it is no input error.  The
+    # failing call is the command's own classification, or the one inside
+    # the inversion routine (analyze's would otherwise become a reason in
+    # report.json)
+    eigenvalues, calls = invertibility._companion_eigenvalues, []
+
+    def failing(coeffs):
+        calls.append(coeffs)
+        if len(calls) == failing_call:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigenvalues(coeffs)
+
+    monkeypatch.setattr(invertibility, "_companion_eigenvalues", failing)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, "--coeffs", "1,-0.5", "--out", str(out)], env={"SHIFTOP_SEED": None}
+    )
+    assert result.exit_code == 5, result.output
+    assert "numerical failure: Eigenvalues did not converge" in result.output
+    assert not out.exists()
 
 
 def test_simulate_rerun_is_byte_identical(runner, tmp_path):

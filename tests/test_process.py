@@ -11,8 +11,8 @@ from numpy.testing import assert_allclose
 from oracles import ar_ladder_oracle, sample_csv_oracle
 
 from shiftop import process, wiener
-from shiftop.cli import main
-from shiftop.invertibility import NotInvertibleError, Verdict, invert_causal
+from shiftop.cli import cmd_simulate, main
+from shiftop.invertibility import DEFAULT_ROOT_TOL, NotInvertibleError, Verdict, invert_causal
 from shiftop.process import (
     divergence_demo,
     ergodic_mean_check,
@@ -546,14 +546,17 @@ CSV_LENGTHS = (1, 3, BLOCK - 1, BLOCK, BLOCK + 1, 200_003)
     + [(MA1, sigma) for sigma in (0.0, 1e-9, 1e12, 1e20)],
     ids=["invertible", "inside", "on_circle", "zero", "tiny", "large", "huge"],
 )
-def test_sample_csv_matches_row_oracle(f, sigma):
+def test_sample_csv_matches_row_oracle(f, sigma, tmp_path):
     # shorter paths of one seed are prefixes of the longest, so one oracle
     # text serves every length; sigma 0 and 1e-9 send every cell to Python's
-    # formatting, 1e20 most of them
+    # formatting, 1e20 most of them.  The CLI streams the same bytes to disk.
     longest = sample_csv_oracle(simulate(f, sigma, max(CSV_LENGTHS), 17)).splitlines()
     for t_len in CSV_LENGTHS:
-        text = process.sample_to_csv(simulate(f, sigma, t_len, 17)).decode("ascii")
-        assert text == "\n".join(longest[: t_len + 1]) + "\n", t_len
+        csv = process.sample_to_csv(simulate(f, sigma, t_len, 17))
+        assert csv.decode("ascii") == "\n".join(longest[: t_len + 1]) + "\n", t_len
+        out = tmp_path / str(t_len)
+        assert cmd_simulate(f, t_len, 17, sigma, 0, DEFAULT_ROOT_TOL, out) == 0
+        assert (out / "sample.csv").read_bytes() == csv, t_len
 
 
 def _csv_cells(values) -> list[str]:
