@@ -130,11 +130,13 @@ def _companion_eigenvalues(coeffs: tuple[complex, ...]) -> np.ndarray:
     q = len(c) - 1
     if q == 0:
         return np.empty(0, dtype=complex)
-    # scale by a power of two first, so that a subnormal c_q cannot overflow the quotients
+    # scale by a power of two first, so that a subnormal c_q cannot overflow the
+    # quotients; with a root past float max they overflow all the same, and raise
     shift = -math.frexp(abs(c[-1]))[1]
-    c.real, c.imag = np.ldexp(c.real, shift), np.ldexp(c.imag, shift)
     companion = np.diag(np.ones(q - 1, dtype=complex), -1)
-    companion[0, :] = -(c[:-1][::-1] / c[-1])
+    with np.errstate(over="raise", invalid="raise"):
+        c.real, c.imag = np.ldexp(c.real, shift), np.ldexp(c.imag, shift)
+        companion[0, :] = -(c[:-1][::-1] / c[-1])
     return np.linalg.eigvals(companion)
 
 
@@ -144,7 +146,8 @@ def classify_roots(f: WienerElement, tol: float = DEFAULT_ROOT_TOL) -> RootClass
     A positive ``offset`` contributes that many roots at the origin.  Roots
     are counted inside (``|r| < 1 - tol``), on (``| |r| - 1 | <= tol``), or
     outside (``|r| > 1 + tol``) the circle; the verdict is Invertible only
-    when no root lies inside or on it.
+    when no root lies inside or on it.  ``FloatingPointError`` when a root
+    lies past float max, as for ``1 + 1e-310 z``.
     """
     tol = float(tol)
     if not (MIN_ROOT_TOL <= tol <= MAX_ROOT_TOL):
@@ -456,15 +459,17 @@ def _triangular_inverse_norm(
 
     a = f.to_array()
     q = len(a) - 1
-    # every scaling is by a power of two, so none of them rounds
-    e = np.rint(np.arange(dim) * math.log2(1.0 / rho)).astype(np.int64)
+    # every scaling is by a power of two, so none of them rounds; a root so
+    # close to 0 that 1/rho or the band passes float max raises
     t = math.frexp(abs(a[0]))[1]
     columns = np.arange(dim)
     band = np.empty((q + 1, dim), dtype=complex)
-    for k in range(q + 1):
-        shift = t + e[np.minimum(columns + k, dim - 1)] - e[columns]
-        band.real[k] = np.ldexp(a[k].real, -shift)
-        band.imag[k] = np.ldexp(a[k].imag, -shift)
+    with np.errstate(over="raise", invalid="raise"):
+        e = np.rint(np.arange(dim) * math.log2(1.0 / rho)).astype(np.int64)
+        for k in range(q + 1):
+            shift = t + e[np.minimum(columns + k, dim - 1)] - e[columns]
+            band.real[k] = np.ldexp(a[k].real, -shift)
+            band.imag[k] = np.ldexp(a[k].imag, -shift)
     left, right = np.ldexp(1.0, e - e[-1])[:, None], np.ldexp(1.0, -e)[:, None]
     start = np.random.default_rng(0).standard_normal((dim, q + 1))
     x = np.linalg.qr(start.astype(complex))[0]
@@ -508,7 +513,8 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     as a :class:`WideFloat` so that the geometric blow-up of a root inside
     the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
     past float max.  ``a_0 = 0`` makes ``T_N(f)`` singular: infinite
-    triangular norms, route ``"none"``.
+    triangular norms, route ``"none"``.  A root of subnormal modulus, as for
+    ``1e-310 + z``, overflows the scalings: ``FloatingPointError``.
     """
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")

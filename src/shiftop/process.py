@@ -26,6 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import invertibility, wiener
+from ._digits import _DIGITS4, _GROUP4, _POW10, _POW10_HI, _POW10_LO, _split
 # invert_causal is unused here but stays importable as process.invert_causal:
 # the benchmark's tracer self-tests rebind and restore it at this site
 from .invertibility import NotInvertibleError, Verdict, classify_roots, invert_causal  # noqa: F401
@@ -476,19 +477,6 @@ def wold_estimate(autocov, order: int) -> WoldEstimate:
 # value (0, tiny, huge, inf, nan) is formatted by Python.
 CSV_BLOCK_ROWS = 16384
 
-_POW10 = np.array([float(10**k) for k in range(21)])  # exact doubles
-_VELTKAMP = 134217729.0  # 2**27 + 1
-
-
-def _split(a):
-    """Veltkamp split ``a = hi + lo`` with both halves of at most 26 bits."""
-    c = _VELTKAMP * a
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _split(_POW10)
-
 
 def _decimal17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Digits ``n`` and exponent ``e`` of ``ax`` rounded to 17 significant digits.
@@ -524,13 +512,6 @@ def _decimal17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         todo = np.flatnonzero(redo) if isinstance(todo, slice) else todo[redo]
 
 
-_GROUP4 = np.arange(10_000)
-_DIGITS4 = (  # "0000" .. "9999", four ASCII bytes each
-    (_GROUP4[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
-    .astype(np.uint8)
-    .view("<u4")
-    .ravel()
-)
 # trailing decimal zeros of the 4-digit groups ("0000" has 4)
 _TRAILING_ZEROS4 = sum((_GROUP4 % 10**k == 0).astype(np.int64) for k in range(1, 5))
 

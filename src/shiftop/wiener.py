@@ -74,13 +74,17 @@ class WienerElement:
         offset = int(self.offset)
         nonzero = np.flatnonzero(values)  # NaN counts as nonzero, -0.0 as zero
         if not len(nonzero):
-            coeffs, offset = (0j,), 0
+            array, offset = np.zeros(1, dtype=complex), 0
         else:
             first, last = int(nonzero[0]), int(nonzero[-1])
             offset += first
-            coeffs = tuple(values[first : last + 1].tolist())
-        object.__setattr__(self, "coeffs", coeffs)
+            array = values[first : last + 1].copy()
+        # the trimmed array is kept read-only beside the fields, so equality,
+        # hashing and the repr still see only the coefficient tuple
+        array.setflags(write=False)
+        object.__setattr__(self, "coeffs", tuple(array.tolist()))
         object.__setattr__(self, "offset", offset)
+        object.__setattr__(self, "_array", array)
 
     # -- basic queries ---------------------------------------------------
 
@@ -114,7 +118,8 @@ class WienerElement:
         return 0j
 
     def to_array(self) -> np.ndarray:
-        return np.array(self.coeffs, dtype=complex)
+        """The stored coefficients as a new complex array."""
+        return self._array.copy()
 
     # -- arithmetic sugar (delegates to the module-level operations) ------
 

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -799,6 +800,39 @@ def test_numerical_failure_exits_5(runner, tmp_path, monkeypatch, command, faili
     assert result.exit_code == 5, result.output
     assert "numerical failure: Eigenvalues did not converge" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert", "simulate"])
+def test_floating_point_error_exits_5(runner, tmp_path, monkeypatch, command):
+    # an overflow a scaling raises under np.errstate is no input error either
+    def failing(coeffs):
+        raise FloatingPointError("overflow encountered in ldexp")
+
+    monkeypatch.setattr(invertibility, "_companion_eigenvalues", failing)
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, [command, "--coeffs", "1,-0.5", "--out", str(out)], env={"SHIFTOP_SEED": None}
+    )
+    assert result.exit_code == 5, result.output
+    assert "numerical failure: overflow encountered in ldexp" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--dims", "4"], ["invert"]], ids=["analyze", "invert"]
+)
+def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
+    # the root of 1e-310 + z has subnormal modulus: 1/|root| overflows, and so
+    # does the power-of-two scaling of the reversed polynomial 1 + 1e-310 z
+    for coeffs, code in (("1e-310,1", 5), ("1e-300,1", 0)):
+        out = tmp_path / coeffs
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            result = runner.invoke(main, [*argv, "--coeffs", coeffs, "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert out.exists() == (code == 0)
+        assert ("numerical failure: overflow encountered in" in result.output) == (code == 5)
 
 
 def test_simulate_rerun_is_byte_identical(runner, tmp_path):

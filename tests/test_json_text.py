@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,82 @@ documents = st.recursive(
 @given(documents)
 def test_writer_matches_oracle_property(document):
     assert cli._json_text(document) == json_text_oracle(document)
+
+
+# -- float arrays: the array formatter against repr -----------------------------
+
+
+def _neighbours(values):
+    values = np.asarray(values, dtype=float)
+    return np.concatenate([values, np.nextafter(values, 0.0), np.nextafter(values, np.inf)])
+
+
+def _float_sets():
+    powers_of_ten = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    return {
+        "zeros": [0.0, -0.0],
+        "subnormals": [5e-324, 1e-320, 2.225073858507201e-308, 2.2250738585072014e-308],
+        "float max": [1.7976931348623157e308],
+        "powers of two": _neighbours(np.ldexp(1.0, np.arange(-1074, 1024))),
+        "powers of ten": _neighbours(powers_of_ten),
+        "notation boundaries": _neighbours([1e-4, 1e-5, 1e16]),
+        "2**53": _neighbours([2.0**53]),
+        "one tenth sums": [0.1, 0.2, 0.30000000000000004, 0.1 + 0.7, 1 - 0.9],
+        # shortest forms of 1 to 17 digits, plain and scientific
+        "digit counts": [
+            float(f"0.{'3' * k}e{exp}") for k in range(1, 17) for exp in (0, 3, -7, 20, 250, -250)
+        ]
+        + [0.30000000000000004, 1.2345678901234567e-200, 123456789012345.67],
+        "integers": [1.0, 10.0, 99.0, 1234567.0, 1e15, 123456789012345678.0, 2.0**70],
+        "range edges": _neighbours([1e-270, 1e290, 1e-271, 1e289]),
+    }
+
+
+@pytest.mark.parametrize("name", list(_float_sets()))
+def test_array_floats_match_repr(name):
+    floats = np.asarray(_float_sets()[name], dtype=float)
+    floats = np.concatenate([floats, -floats])
+    if len(floats) % 2:
+        floats = np.append(floats, 1.5)
+    document = {"deep": [{"coeffs": floats.view(complex)}]}
+    assert cli._json_text(document) == json_text_oracle(document)
+
+
+@pytest.mark.parametrize("length", [cli._PAIR_BLOCK - 1, cli._PAIR_BLOCK, cli._PAIR_BLOCK + 1])
+def test_array_block_edges(length):
+    values = np.random.default_rng(length).standard_normal(2 * length).view(complex)
+    for document in (values, {"a": [values, {"b": values[:3]}]}):
+        assert cli._json_text(document) == json_text_oracle(document)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(cli._PAIR_BLOCK + 1, 2 * cli._PAIR_BLOCK + 7),
+    drawn=st.lists(finite, max_size=16),
+)
+def test_array_bit_patterns_match_oracle_property(seed, length, drawn):
+    # every bit pattern is as likely: both signs, every exponent, subnormals
+    bits = np.random.default_rng(seed).integers(0, 2**64, 2 * length, dtype=np.uint64)
+    floats = bits.view(float)
+    floats[~np.isfinite(floats)] = 0.0
+    floats[: len(drawn)] = drawn
+    document = {"coeffs": floats.view(complex)}
+    assert cli._json_text(document) == json_text_oracle(document)
+
+
+def test_array_writer_memory_is_bounded():
+    # the text itself, its join and the block temporaries: an unblocked
+    # encoder holds several times the text in temporaries at once
+    values = (0.999 ** np.arange(30_000)) * np.exp(1j * np.arange(30_000))
+    document = {"coeffs": values}
+    tracemalloc.start()
+    try:
+        text = cli._json_text(document)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * len(text)
 
 
 # -- every document the commands write ------------------------------------------

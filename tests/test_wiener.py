@@ -56,6 +56,18 @@ def test_canonical_form_matches_stepwise_trim(coeffs, offset):
     want_coeffs, want_offset = canonical_form_oracle(coeffs, offset)
     assert type(f.coeffs) is tuple and all(type(c) is complex for c in f.coeffs)
     assert (repr(f.coeffs), f.offset) == (repr(want_coeffs), want_offset)
+    assert repr(tuple(f.to_array().tolist())) == repr(want_coeffs)
+
+
+def test_to_array_shares_no_memory():
+    source = np.array([0, 1.5, -2j, 0])
+    f = WienerElement(source, 1)
+    source[1] = 7.0
+    array = f.to_array()
+    array[0] = 9.0
+    assert f.to_array().tolist() == [1.5, -2j]
+    assert f == WienerElement((1.5, -2j), 2)
+    assert hash(f) == hash(WienerElement((1.5, -2j), 2))
 
 
 def test_empty_coeffs_rejected():
