@@ -36,7 +36,8 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import __version__, _digits, invertibility, operators, process, wiener
+from . import __version__, invertibility, operators, process, wiener
+from ._digits import _CELL_WORDS, _repr_cells
 from .invertibility import (
     InversionSide,
     TailNotCertifiedError,
@@ -237,186 +238,16 @@ def _encode(value, newline: str, parts: list[str]) -> None:
 # temporaries stay a fixed size however long the array is.
 _PAIR_BLOCK = 2048
 
-# Every float of an array is written as the text of float.__repr__: the
-# shortest digits that read back to it, plain for 1e-4 <= |x| < 1e16 and
-# "d.ddde±XX" otherwise.  For 1e-270 <= |x| < 1e290 the digits come from
-# _shortest_decimal; zeros, subnormals, powers of two (their rounding interval
-# is asymmetric), values past that range and any value whose rounding or
-# round-trip decision lies within _SURE of its threshold are written by
-# float.__repr__ itself.
-_FAST_MIN, _FAST_MAX = 1e-270, 1e290
-_SURE = 2.0**-30  # against an error below 1e-14 in the digit arithmetic
-
-
-def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``ax * 10**(16 - e)`` as ``hi + lo`` to within 1e-14: Dekker's TwoProduct
-    with the head of the double-double ``10**s``, plus the product of its tail."""
-    s = 16 - e + _digits._WIDE_SPAN
-    a_hi, a_lo = _digits._split(ax)
-    p_hi, p_lo = _digits._POW10_WIDE_HI[s], _digits._POW10_WIDE_LO[s]
-    hi = ax * _digits._POW10_WIDE[s]
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return hi, lo + ax * _digits._POW10_WIDE_TAIL[s]
-
-
-def _shortest_decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The shortest round-trip decimal of each ``ax`` in [1e-270, 1e290): ``(n, e, last, sure)``.
-
-    ``n`` (int64, ``1e16 <= n < 1e17``) holds the digits, then zeros, and the
-    decimal is ``n * 10**(e - 16)``; digits 0 to ``last`` of ``n`` are the ones
-    ``repr`` prints.  ``sure`` is False where a decision came within ``_SURE``
-    of its threshold, or ``ax`` is a power of two.
-
-    ``P = ax * 10**(16 - e)`` is formed as ``hi + lo`` from the double-double
-    ``10**s`` (Dekker's TwoProduct on the head, the tail's product added), to
-    within 1e-14, then split into an integer ``N`` and a fraction.  A k-digit
-    rounding of ``P`` is ``N`` rounded at ``q = 10**(17 - k)``; it reads back
-    to ``ax`` when its distance from ``P`` is below the half-ulp
-    ``P / (2 M)``, ``M`` the 53-bit integer mantissa.  Counting k down from
-    17, which always reads back, the last k that does is the shortest, and its
-    rounding is the nearest decimal of that length, the one ``repr`` prints.
-    """
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    hi, lo = _scaled(ax, e)
-    # log10 can be one off next to a power of ten: test the product and
-    # correct once; a value still out of range, or within the error of an edge
-    # (a power of ten itself), is refused
-    low, high = (hi - 1e16) + lo, (hi - 1e17) + lo
-    redo = np.flatnonzero((low < 0) | (high >= 0))
-    if len(redo):
-        e[redo] += np.where(high[redo] >= 0, 1, -1)
-        hi[redo], lo[redo] = _scaled(ax[redo], e[redo])
-        low, high = (hi - 1e16) + lo, (hi - 1e17) + lo
-    sure = (low >= _SURE) & (high <= -_SURE)
-    floor_lo = np.floor(lo)
-    integer = hi.astype(np.int64) + floor_lo.astype(np.int64)  # N
-    frac = lo - floor_lo
-    mantissa = np.frexp(ax)[0]
-    half_ulp = hi / np.ldexp(mantissa, 54)
-    sure &= mantissa != 0.5
-    tie = frac - 0.5  # 17 digits, P rounded to an integer, always read back
-    n = integer + (tie > 0)
-    sure &= np.abs(tie) >= _SURE
-    last = np.full(len(ax), 16)
-    live = np.arange(len(ax))
-    for k in range(16, 0, -1):
-        q = 10 ** (17 - k)
-        head, rest = np.divmod(integer, q)
-        tie = (rest - q / 2) + frac  # rounds up above 0
-        up = tie > 0
-        # distance of the rounding from P, less the half-ulp: below 0 reads back
-        gap = (np.where(up, q - rest, rest) - half_ulp) + np.where(up, -frac, frac)
-        close = (np.abs(tie) < _SURE) | (np.abs(gap) < _SURE)
-        if close.any():
-            sure[live[close]] = False
-        fits = gap < 0
-        if not fits.any():
-            break
-        live, integer, frac, half_ulp = live[fits], integer[fits], frac[fits], half_ulp[fits]
-        n[live] = (head[fits] + up[fits]) * q
-        last[live] = k - 1
-    carry = n == 10**17  # 9.5 rounded to one digit: 10
-    n[carry] = 10**16
-    e += carry
-    # a refused value keeps the layout inside its tables; its cell is replaced
-    n[~sure] = 10**16
-    return n, e, last, sure
-
-
-# A cell is 24 bytes, read as three little-endian uint64 words: byte 0 is the
-# sign, the value's characters follow, and NUL bytes anywhere are dropped when
-# a block is emitted.  The 17 digits of n sit in a 24-byte source at one of two
-# alignments, digit i at byte 2 + i (scientific, and plain with |x| >= 1) with
-# the exponent's sign and digits at bytes 20..23, or at byte 6 + i (plain
-# below 1) after six '0' bytes, the zeros of "0.000ddd".  The cell takes the
-# part before the '.' from the source shifted down one byte and the rest in
-# place; which source bytes survive depends only on the notation (plain at
-# exponent e, or scientific) and the index of the last digit, so three
-# templates per (notation, last) pair do the layout.
-_EXP_SPAN = 330
-_NOTATIONS = 21  # plain at e = -4 .. 15, then scientific
-
-
-def _exponent_words() -> np.ndarray:
-    """The exponent of "e-05" or "e+300" as a uint32: its sign and three digits,
-    a NUL in place of a leading digit below 100."""
-    texts = [
-        (b"-" if x < 0 else b"+") + (b"\0%02d" % abs(x) if abs(x) < 100 else b"%d" % abs(x))
-        for x in range(-_EXP_SPAN, _EXP_SPAN + 1)
-    ]
-    return np.frombuffer(b"".join(texts), dtype="<u4")
-
-
-def _repr_templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The shifted-source mask, in-place mask and constant bytes of every cell key."""
-    shifted = np.zeros((_NOTATIONS, 17, 24), dtype=np.uint8)
-    in_place = np.zeros((_NOTATIONS, 17, 24), dtype=np.uint8)
-    constant = np.zeros((_NOTATIONS, 17, 24), dtype=np.uint8)
-    for notation in range(_NOTATIONS):
-        e = notation - 4
-        for last in range(17):
-            k = (notation, last)
-            if notation == _NOTATIONS - 1:  # d.ddde±XX, digit i at 2 + i
-                shifted[k][1] = 0xFF
-                constant[k][2] = ord(".") if last else 0
-                in_place[k][3 : 3 + last] = 0xFF
-                constant[k][19] = ord("e")
-                in_place[k][20:24] = 0xFF
-            elif e >= 0:  # ddd.ddd or ddd.0, digit i at 2 + i
-                shifted[k][1 : 2 + e] = 0xFF
-                constant[k][2 + e] = ord(".")
-                in_place[k][3 + e : 3 + max(last, e + 1)] = 0xFF
-            else:  # 0.000ddd, digit i at 6 + i after six '0' bytes
-                shifted[k][5 + e] = 0xFF
-                constant[k][6 + e] = ord(".")
-                in_place[k][7 + e : 7 + last] = 0xFF
-    return tuple(t.reshape(_NOTATIONS * 17, 24).view("<u8") for t in (shifted, in_place, constant))
-
-
-_EXPONENT4 = _exponent_words()
-_SHIFTED_MASK, _IN_PLACE_MASK, _CELL_CONSTANT = _repr_templates()
-
-
-def _repr_cells(values: np.ndarray) -> np.ndarray:
-    """``float.__repr__(x)`` for every finite float64 ``x`` as NUL-padded 24-byte cells."""
-    ax = np.abs(values)
-    fast = (ax >= _FAST_MIN) & (ax < _FAST_MAX)
-    n, e, last, sure = _shortest_decimal(np.where(fast, ax, 1.0))
-    plain = (e >= -4) & (e < 16)
-    key = np.where(plain, e + 4, _NOTATIONS - 1) * 17 + last
-    # n * 10 splits into the groups [d0 d1] [d2..d5] [d6..d9] [d10..d13] [d14 d15 d16 0]
-    top, low = np.divmod(n * 10, 10**8)
-    d01, top = np.divmod(top, 10**8)
-    groups = (d01, *np.divmod(top, 10**4), *np.divmod(low, 10**4))
-    source = np.empty((len(values), 7), dtype="<u4")
-    source[:, 0] = _digits._DIGITS4[0]
-    for k, g in enumerate(groups, start=1):
-        source[:, k] = np.take(_digits._DIGITS4, g)
-    source[:, 6] = np.take(_EXPONENT4, e + _EXP_SPAN)
-    below_one = (plain & (e < 0))[:, None]
-    source = np.where(below_one, source[:, :6], source[:, 1:]).view("<u8")
-    cells = source >> np.uint64(8)
-    cells[:, :-1] |= source[:, 1:] << np.uint64(56)
-    cells &= np.take(_SHIFTED_MASK, key, axis=0)
-    source &= np.take(_IN_PLACE_MASK, key, axis=0)
-    cells |= source
-    cells |= np.take(_CELL_CONSTANT, key, axis=0)
-    cells[:, 0] |= np.signbit(values) * np.uint64(ord("-"))
-    slow = np.flatnonzero(~(fast & sure))
-    if len(slow):
-        texts = [float.__repr__(x).encode("ascii") for x in values[slow].tolist()]
-        cells[slow] = np.array(texts, dtype="S24").view("<u8").reshape(-1, 3)
-    return cells
-
 
 def _pairs_text(values: np.ndarray, newline: str) -> str:
     """A 1-D complex array as a list of (real, imaginary) pairs, as ``json.dumps`` writes it.
 
-    Each float is the text of ``float.__repr__`` (:func:`_repr_cells`).  Each
-    block of ``_PAIR_BLOCK`` pairs is laid out as rows of words, one pair
-    ``{inner}[{inner}  X,{inner}  Y{inner}]`` per row with the cells of X and
-    Y in place and NUL padding that ``bytes.translate`` drops, so the encoding
-    temporaries do not grow with the array.
+    Each float is the text of ``float.__repr__``, in a cell from
+    :func:`shiftop._digits._repr_cells`, the layouter of ``sample.csv``'s cells
+    too.  Each block of ``_PAIR_BLOCK`` pairs is laid out as rows of words, one
+    pair ``{inner}[{inner}  X,{inner}  Y{inner}]`` per row with the cells of X
+    and Y in place and NUL padding that ``bytes.translate`` drops, so the
+    encoding temporaries do not grow with the array.
     """
     if values.ndim != 1 or values.dtype != complex:
         raise TypeError(f"expected a 1-D complex array, got {values.dtype} of shape {values.shape}")
@@ -429,20 +260,20 @@ def _pairs_text(values: np.ndarray, newline: str) -> str:
         np.frombuffer(part.encode().ljust(-(-len(part) // 8) * 8, b"\0"), dtype="<u8")
         for part in (f",{inner}[{inner}  ", f",{inner}  ", f"{inner}]")
     ]
-    blank = np.zeros(3, dtype="<u8")
+    blank = np.zeros(_CELL_WORDS, dtype="<u8")
     template = np.concatenate([segments[0], blank, segments[1], blank, segments[2]])
     x = len(segments[0])
-    y = x + 3 + len(segments[1])
+    y = x + _CELL_WORDS + len(segments[1])
     floats = np.ascontiguousarray(values).view(float)
     # one growing buffer: block strings kept in a list interleave with the
     # block temporaries on the heap, and the peak RSS creeps up pass by pass
     text = bytearray(b"[")
     for start in range(0, len(floats), 2 * _PAIR_BLOCK):
-        cells = _repr_cells(floats[start : start + 2 * _PAIR_BLOCK]).reshape(-1, 6)
+        cells = _repr_cells(floats[start : start + 2 * _PAIR_BLOCK]).reshape(-1, 2 * _CELL_WORDS)
         rows = np.empty((len(cells), len(template)), dtype="<u8")
         rows[:] = template
-        rows[:, x : x + 3] = cells[:, :3]
-        rows[:, y : y + 3] = cells[:, 3:]
+        rows[:, x : x + _CELL_WORDS] = cells[:, :_CELL_WORDS]
+        rows[:, y : y + _CELL_WORDS] = cells[:, _CELL_WORDS:]
         if not start:
             rows.view(np.uint8)[0, 0] = 0  # no ',' before the first pair
         text += rows.tobytes().translate(None, b"\0")

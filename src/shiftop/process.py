@@ -26,7 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import invertibility, wiener
-from ._digits import _DIGITS4, _GROUP4, _POW10, _POW10_HI, _POW10_LO, _split
+from ._digits import _CELL_WORDS, _DIGITS4, _g17_cells
 # invert_causal is unused here but stays importable as process.invert_causal:
 # the benchmark's tracer self-tests rebind and restore it at this site
 from .invertibility import NotInvertibleError, Verdict, classify_roots, invert_causal  # noqa: F401
@@ -472,114 +472,9 @@ def wold_estimate(autocov, order: int) -> WoldEstimate:
 
 
 # sample.csv is encoded CSV_BLOCK_ROWS rows at a time with array operations.
-# Each cell is the exact text of format(x, ".17g"): for 1e-4 <= |x| < 1e17
-# (plain notation) the 17 significant digits are computed here, every other
-# value (0, tiny, huge, inf, nan) is formatted by Python.
+# Each cell is the exact text of format(x, ".17g"), laid out by
+# shiftop._digits (_g17_cells), which also writes the floats of JSON arrays.
 CSV_BLOCK_ROWS = 16384
-
-
-def _decimal17(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Digits ``n`` and exponent ``e`` of ``ax`` rounded to 17 significant digits.
-
-    Needs ``1e-4 <= ax < 1e17``.  Returns int64 arrays with
-    ``1e16 <= n < 1e17`` such that ``n * 10**(e - 16)`` is the exact value of
-    ``ax`` rounded half-even, as ``format(x, ".17g")`` rounds it.  The product
-    ``ax * 10**(16 - e)`` is formed exactly as ``hi + lo`` (Dekker's
-    TwoProduct); ``hi`` is then an even integer above 2**53, so
-    ``hi + rint(lo)`` rounds the exact value half-even.  No double in that
-    range lies within 5e-18 relative below a power of ten, so ``n`` never
-    rounds up to ``10**17``.
-    """
-    e = np.floor(np.log10(ax)).astype(np.int64)
-    np.clip(e, -4, 16, out=e)
-    n = np.empty(len(ax), dtype=np.int64)
-    todo = slice(None)
-    while True:
-        s = 16 - e[todo]
-        a = ax[todo]
-        hi = a * _POW10[s]
-        a_hi, a_lo = _split(a)
-        p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
-        lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-        n[todo] = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-        # log10 can be one off next to a power of ten: test the exact product
-        below = (hi < 1e16) | ((hi == 1e16) & (lo < 0))
-        above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
-        redo = below | above
-        if not redo.any():
-            return n, e
-        e[todo] += above.astype(np.int64) - below
-        todo = np.flatnonzero(redo) if isinstance(todo, slice) else todo[redo]
-
-
-# trailing decimal zeros of the 4-digit groups ("0000" has 4)
-_TRAILING_ZEROS4 = sum((_GROUP4 % 10**k == 0).astype(np.int64) for k in range(1, 5))
-
-# A cell is 32 bytes, read as four little-endian uint64 words: byte 0 is the
-# ',' before the value, byte 1 its sign, the value's characters follow, and
-# NUL bytes anywhere are dropped when a block is emitted.  The digit source
-# has '0' at bytes 0..6 (bytes 3..6 serve as the zeros of "0.000ddd") and the
-# 17 digits at bytes 7..23.  The cell takes the integer part from the source
-# shifted down one byte, then '.', then the fraction in place, so the '.'
-# lands at byte 7 + e.  Which source bytes survive depends only on the
-# exponent e and the position of the last nonzero digit, so three 32-byte
-# templates per (e, last) pair do the layout.
-_CELL_WORDS = 4
-
-
-def _cell_templates() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    shifted = np.zeros((21, 17, 32), dtype=np.uint8)
-    in_place = np.zeros((21, 17, 32), dtype=np.uint8)
-    constant = np.zeros((21, 17, 32), dtype=np.uint8)
-    for e in range(-4, 17):
-        for last in range(17):
-            first = 7 + min(e, 0)  # "0" of "0.000ddd" or the leading digit
-            end = 7 + max(e, last)  # the last digit printed
-            k = (e + 4, last)
-            shifted[k][first - 1 : 7 + e] = 0xFF
-            in_place[k][8 + e : end + 1] = 0xFF
-            constant[k][0] = ord(",")
-            if last > e:
-                constant[k][7 + e] = ord(".")
-    return tuple(t.reshape(21 * 17, 32).view("<u8") for t in (shifted, in_place, constant))
-
-
-_SHIFTED_MASK, _IN_PLACE_MASK, _CELL_CONSTANT = _cell_templates()
-
-
-def _encode_cells(values: np.ndarray) -> np.ndarray:
-    """``"," + format(x, ".17g")`` for every ``x`` as NUL-padded 32-byte cells."""
-    ax = np.abs(values)
-    fast = (ax >= 1e-4) & (ax < 1e17)
-    n, e = _decimal17(np.where(fast, ax, 1.0))
-    top, low8 = np.divmod(n, 10**8)
-    d0, top = np.divmod(top, 10**8)
-    groups = (d0, *np.divmod(top, 10**4), *np.divmod(low8, 10**4))
-    source = np.zeros((len(values), 2 * _CELL_WORDS), dtype="<u4")
-    source[:, 0] = _DIGITS4[0]
-    for k, g in enumerate(groups, start=1):
-        source[:, k] = np.take(_DIGITS4, g)
-    trailing = np.take(_TRAILING_ZEROS4, groups[1])
-    for g in groups[2:]:
-        trailing = np.where(g == 0, trailing + 4, np.take(_TRAILING_ZEROS4, g))
-    key = (e + 4) * 17 + (16 - trailing)
-    source = source.view("<u8")
-    cells = source >> np.uint64(8)
-    # byte 7 of each word takes byte 0 of the next word; the last word of a
-    # row takes the next row's first byte, which the templates clear
-    cells.ravel()[:-1] |= source.ravel()[1:] << np.uint64(56)
-    cells &= np.take(_SHIFTED_MASK, key, axis=0)
-    source &= np.take(_IN_PLACE_MASK, key, axis=0)
-    cells |= source
-    cells |= np.take(_CELL_CONSTANT, key, axis=0)
-    cells[:, 0] |= np.signbit(values) * np.uint64(ord("-") << 8)
-    slow = np.flatnonzero(~fast)
-    if len(slow):
-        bits, inverse = np.unique(values[slow].view(np.int64), return_inverse=True)
-        texts = [f",{x:.17g}".encode("ascii") for x in bits.view(np.float64).tolist()]
-        table = np.array(texts, dtype=f"S{8 * _CELL_WORDS}").view("<u8")
-        cells[slow] = table.reshape(-1, _CELL_WORDS)[inverse.reshape(-1)]
-    return cells
 
 
 def _encode_rows(t0: int, path: np.ndarray, eps: np.ndarray, t_words: int) -> bytes:
@@ -598,8 +493,8 @@ def _encode_rows(t0: int, path: np.ndarray, eps: np.ndarray, t_words: int) -> by
     place = np.array([10 ** (width - 1 - j) for j in range(width - 1)] + [0])
     t_bytes *= t[:, None] >= place
     t_bytes[:, 0] = ord("\n")
-    rows[:, t_words : t_words + _CELL_WORDS] = _encode_cells(path)
-    rows[:, t_words + _CELL_WORDS :] = _encode_cells(eps)
+    rows[:, t_words : t_words + _CELL_WORDS] = _g17_cells(path)
+    rows[:, t_words + _CELL_WORDS :] = _g17_cells(eps)
     return rows.tobytes().translate(None, b"\0")
 
 

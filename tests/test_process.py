@@ -617,6 +617,20 @@ def test_csv_cells_match_format_property(values):
     assert _csv_cells(values) == [format(v, ".17g") for v in values]
 
 
+@settings(max_examples=10, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    length=st.integers(BLOCK + 1, 2 * BLOCK + 7),
+    drawn=st.lists(st.floats(), max_size=16),
+)
+def test_csv_cells_match_format_on_bit_patterns_property(seed, length, drawn):
+    # every bit pattern is as likely: both signs, every exponent, subnormals,
+    # infinities and NaNs with any payload, over more than one row block
+    values = np.random.default_rng(seed).integers(0, 2**64, length, dtype=np.uint64).view(float)
+    values[: len(drawn)] = drawn
+    assert _csv_cells(values) == [format(v, ".17g") for v in values.tolist()]
+
+
 def _simulate_command(tmp_path, monkeypatch, *args):
     """Run ``shiftop simulate --coeffs 1,0.5`` and return its output directory."""
     monkeypatch.delenv("SHIFTOP_SEED", raising=False)
