@@ -30,14 +30,12 @@ from .wiener import (
 from .operators import (
     IsometryRow,
     OperatorKind,
-    SzegoVector,
     TruncatedOperator,
     build_bilateral,
     build_unilateral,
     compression_norm,
     isometry_sweep,
     operator_norm,
-    rayleigh_quotient,
 )
 from .invertibility import (
     AsymmetryRow,
@@ -86,14 +84,12 @@ __all__ = [
     "sup_norm_grid_error",
     "IsometryRow",
     "OperatorKind",
-    "SzegoVector",
     "TruncatedOperator",
     "build_bilateral",
     "build_unilateral",
     "compression_norm",
     "isometry_sweep",
     "operator_norm",
-    "rayleigh_quotient",
     "AsymmetryRow",
     "InversionResult",
     "InversionSide",

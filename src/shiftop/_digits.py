@@ -53,6 +53,12 @@ _DIGITS4 = (  # "0000" .. "9999", four ASCII bytes each
 _TRAILING_ZEROS4 = sum((_GROUP4 % 10**k == 0).astype(np.int64) for k in range(1, 5))
 
 
+def _divmod(x: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.divmod(x, q)`` in under half the time for an int64 array."""
+    head = x // q
+    return head, x - head * q
+
+
 def _scaled(ax: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``ax * 10**(16 - e)`` as ``hi + lo`` to within 1e-14: Dekker's TwoProduct
     with the head of the double-double ``10**s``, plus the product of its tail."""
@@ -138,7 +144,7 @@ def _shortest_decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     integer, frac, half_ulp = integer[live], frac[live], half_ulp[live]
     for k in range(16, 0, -1):
         q = 10 ** (17 - k)
-        head, rest = np.divmod(integer, q)
+        head, rest = _divmod(integer, q)
         tie = (rest - q / 2) + frac  # rounds up above 0
         up = tie > 0
         # distance of the rounding from P, less the half-ulp: below 0 reads back
@@ -221,9 +227,9 @@ def _cells(values, n, e, exact, rule, text) -> np.ndarray:
     """The cells of ``values`` from their digits ``n`` and exponents ``e`` under ``rule``;
     where ``exact`` is False, ``text(x)``, formatted once per distinct value."""
     plain_end, shifted_mask, in_place_mask, constant = rule
-    top, low8 = np.divmod(n, 10**8)
-    d0, top = np.divmod(top, 10**8)
-    groups = (d0, *np.divmod(top, 10**4), *np.divmod(low8, 10**4))
+    top, low8 = _divmod(n, 10**8)
+    d0, top = _divmod(top, 10**8)
+    groups = (d0, *_divmod(top, 10**4), *_divmod(low8, 10**4))
     source = np.zeros((len(values), 2 * _CELL_WORDS), dtype="<u4")
     source[:, 0] = _DIGITS4[0]
     for k, g in enumerate(groups, start=1):

@@ -329,7 +329,7 @@ def cmd_analyze(
         if math.isinf(l1):
             raise ValueError("coefficients too large: their l1 norm overflows")
         sup = wiener.sup_norm(f, grid_size)
-        asym = invertibility.asymmetry_report(f, dims)
+        asym = invertibility.asymmetry_report(f, dims, classification)
         inversion = _inversion_block(f, classification, eps)
     except (ValueError, FloatingPointError) as exc:
         return _error_exit(exc)

@@ -385,10 +385,11 @@ class AsymmetryRow:
     properties ``norm_triangular_inverse``, ``norm_circulant_inverse`` and
     ``cond_triangular`` read ``inf`` past float max and for ``None``.
     ``inverse_route`` names what answered that norm: ``"power"`` (block
-    power iteration), ``"banded"`` (the banded Gram eigenvalue, after power
-    iteration did not settle on an Invertible symbol) or ``"none"``
-    (``a_0 = 0``).  ``inverse_steps`` counts the power steps taken and
-    ``inverse_change`` is the last relative change of the power estimate.
+    power iteration), ``"banded"`` (the smallest banded Gram eigenvalue, by
+    bisection on banded Cholesky factorizations, after power iteration did
+    not settle on an Invertible symbol) or ``"none"`` (``a_0 = 0``).
+    ``inverse_steps`` counts the power steps taken and ``inverse_change`` is
+    the last relative change of the power estimate.
     """
 
     dim: int
@@ -450,13 +451,13 @@ def _triangular_inverse_norm(
     changes, are both below ``INVERSE_NORM_TOL``.  When the top singular
     values cluster instead, as for roots far outside the circle, it may not
     settle within ``INVERSE_NORM_MAX_STEPS``.  For an Invertible symbol the
-    norm is then ``1/sqrt`` of the smallest eigenvalue of the banded Gram
-    matrix ``T_N(f)^H T_N(f)``, accurate to about ``eps * cond**2`` with the
-    condition number bounded by the symbol; otherwise the unsettled power
-    estimate stands, and ``change`` shows it.
+    norm is then ``1/sqrt`` of the lower end of the bracket that bisection by
+    inertia (:func:`operators._gram_eigenvalue`, about 52 banded Cholesky
+    factorizations of O(N q^2) each) certifies for the smallest eigenvalue
+    of the banded Gram matrix ``T_N(f)^H T_N(f)``, accurate to about
+    ``eps * cond**2`` with the condition number bounded by the symbol;
+    otherwise the unsettled power estimate stands, and ``change`` shows it.
     """
-    from scipy.linalg import eigvals_banded
-
     a = f.to_array()
     q = len(a) - 1
     # every scaling is by a power of two, so none of them rounds; a root so
@@ -488,7 +489,7 @@ def _triangular_inverse_norm(
     else:
         if invertible:
             gram, scale = operators._gram_band(f, dim)
-            lowest = eigvals_banded(gram, lower=True, select="i", select_range=(0, 0))[0]
+            lowest = operators._gram_eigenvalue(gram, lowest=True)[0]
             if lowest > 0:
                 wide = (WideFloat.of(scale) * WideFloat.of(math.sqrt(lowest))).reciprocal()
                 return wide, "banded", step, change
@@ -496,7 +497,9 @@ def _triangular_inverse_norm(
     return WideFloat(mantissa, exponent + int(e[-1]) - t), "power", step, change
 
 
-def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
+def asymmetry_report(
+    f: WienerElement, dims, classification: RootClassification | None = None
+) -> list[AsymmetryRow]:
     """Inverse norms and condition numbers, circulant vs triangular truncation.
 
     The circulant side is inverted through its spectrum (the symbol's values
@@ -514,7 +517,9 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
     past float max.  ``a_0 = 0`` makes ``T_N(f)`` singular: infinite
     triangular norms, route ``"none"``.  A root of subnormal modulus, as for
-    ``1e-310 + z``, overflows the scalings: ``FloatingPointError``.
+    ``1e-310 + z``, overflows the scalings: ``FloatingPointError``.  The
+    verdict of ``classification`` (by default, at ``DEFAULT_ROOT_TOL``)
+    decides whether the banded inverse norm may answer.
     """
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
@@ -523,7 +528,7 @@ def asymmetry_report(f: WienerElement, dims) -> list[AsymmetryRow]:
     rows = []
     a0 = f.coeff(0)
     if a0 != 0:
-        classification = classify_roots(f)
+        classification = classification or classify_roots(f)
         # the value does not depend on rho, only whether the iteration overflows
         rho = min([1.0, *(abs(r) for r in classification.roots)])
         invertible = classification.verdict is Verdict.INVERTIBLE

@@ -11,18 +11,19 @@ Two families of matrices realize a symbol ``f``:
   roots of unity.
 
 ``compression_norm(f, N)`` reads ``||T_N(f)||`` off the banded Gram matrix
-``T_N(f)^H T_N(f)``, whose bandwidth is the degree ``q`` of ``f``, in
-O(N q^2) instead of a dense SVD's O(N^3).  The norm of the triangular
-inverse ``T_N(1/f)`` needs no matrix either: ``invertibility`` applies it by
-banded triangular solves.  ``operator_norm`` takes one dense SVD of whatever
-matrix it is given; no computation in the package calls it or builds an
-``N x N`` matrix with ``build_unilateral``, and both stay public for plain
-matrices and as the dense reference.
+``T_N(f)^H T_N(f)`` of bandwidth ``q = deg f``: bisection by inertia brackets
+its largest eigenvalue, with a stated margin, in about 52 banded Cholesky
+factorizations of O(N q^2) each.  ``invertibility`` applies ``T_N(1/f)`` by
+banded solves.  ``operator_norm`` takes one dense SVD of whatever matrix it
+is given; no computation in the package calls it or builds an ``N x N``
+matrix with ``build_unilateral``, and both stay public for plain matrices
+and as the dense reference.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,20 +34,15 @@ from .wiener import WienerElement
 __all__ = [
     "OperatorKind",
     "TruncatedOperator",
-    "SzegoVector",
     "IsometryRow",
     "build_unilateral",
     "build_bilateral",
     "operator_norm",
     "compression_norm",
-    "rayleigh_quotient",
     "isometry_dims",
     "isometry_rows",
     "isometry_sweep",
 ]
-
-# Szego vectors are only defined strictly inside the circle.
-MAX_SZEGO_MODULUS = 1.0 - 1e-6
 
 
 class OperatorKind(enum.Enum):
@@ -73,38 +69,6 @@ class TruncatedOperator:
         object.__setattr__(self, "matrix", _freeze(self.matrix))
         if self.matrix.shape != (self.dim, self.dim):
             raise ValueError("matrix shape does not match dim")
-
-
-@dataclass(frozen=True, eq=False)
-class SzegoVector:
-    """Truncated reproducing kernel at a point ``w`` strictly inside the circle.
-
-    ``values[k] = conj(w)**k`` for ``k = 0 .. dim-1``, so ``values[0] == 1``.
-    Rayleigh quotients against these vectors converge to ``f(w)``.
-    """
-
-    point: complex
-    values: np.ndarray
-
-    def __post_init__(self):
-        point = complex(self.point)
-        if abs(point) > MAX_SZEGO_MODULUS:
-            raise ValueError(
-                f"kernel point must satisfy |w| <= {MAX_SZEGO_MODULUS}, got |w| = {abs(point)}"
-            )
-        values = _freeze(self.values)
-        if values.ndim != 1 or values.shape[0] < 1:
-            raise ValueError("values must be a nonempty vector")
-        if values[0] != 1:
-            raise ValueError("values[0] must equal 1")
-        object.__setattr__(self, "point", point)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def truncated(cls, point: complex, dim: int) -> "SzegoVector":
-        point = complex(point)
-        values = np.conj(point) ** np.arange(int(dim))
-        return cls(point, values)
 
 
 def _unilateral_column(f: WienerElement, dim: int) -> np.ndarray:
@@ -215,35 +179,61 @@ def _gram_band(f: WienerElement, dim: int) -> tuple[np.ndarray, float]:
     return band, scale
 
 
+def _gram_eigenvalue(band: np.ndarray, lowest: bool = False) -> tuple[float, float, float]:
+    """``(lo, hi, margin)``: adjacent floats bracketing the largest eigenvalue
+    of the band from :func:`_gram_band` (the smallest with ``lowest``).
+
+    Bisection by inertia (Demmel, *Applied Numerical Linear Algebra*, 5.3):
+    ``lam I - G`` is positive definite exactly when ``lam > lambda_max``, and
+    ``G - lam I`` when ``lam < lambda_min``; a banded Cholesky (LAPACK
+    ``zpbtrf``, O(N q^2)) tells which.  From ``[G_00, Gershgorin bound]``, or
+    ``[0, min_j G_jj]``, that takes about 52 steps.
+
+    The eigenvalue of the exact ``T_N^H T_N / s**2`` lies in
+    ``[lo - margin, hi + margin]``, ``margin = 8 (q + 1) gamma_{q+3} g``,
+    ``g = (2q + 1) G_00``, ``gamma_n = n u / (1 - n u)``, to first order in
+    ``u = 2**-53``.  A band's norm is at most ``2q + 1`` times its largest
+    entry ``G_00``, and each term is at most ``g`` times: rounding ``G``
+    (sums of ``q + 1`` complex products of modulus ``<= G_00``; Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 3.6),
+    ``(2q + 1) gamma_{q+3}``; dividing by ``s``, ``2 (q + 1)**2 u``; shifting
+    the diagonal and summing the Gershgorin bound, ``gamma_{q+3}``; the
+    backward error of the Cholesky that succeeded at ``hi`` (or ``lo``) and
+    the ``lambda_min`` a failed one leaves (Higham, Theorems 10.3 and 10.7,
+    after Demmel), each ``(2q + 1) gamma_{q+3}``.
+    """
+    from scipy.linalg import lapack
+
+    q, diagonal = band.shape[0] - 1, band[0].real
+    largest = float(diagonal.max())  # G_00
+    unit = np.finfo(float).eps / 2
+    margin = 8 * (q + 1) * (q + 3) * unit / (1 - (q + 3) * unit) * (2 * q + 1) * largest
+    # a Gershgorin row sum, |G_jj| plus |G[j + k, j]| and |G[j, j - k]| for each
+    # k >= 1, is at most G_00 plus twice each band row's largest modulus
+    gershgorin = 2 * float(np.abs(band).max(axis=1).sum()) - largest
+    sign = -1.0 if lowest else 1.0
+    shifted = np.asfortranarray(-sign * band)
+    lo, hi = (0.0, float(diagonal.min())) if lowest else (largest, gershgorin)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        work = shifted.copy(order="F")
+        work[0] += sign * mid
+        definite = lapack.zpbtrf(work, lower=1, overwrite_ab=1)[1] == 0
+        lo, hi = (mid, hi) if definite == lowest else (lo, mid)
+    return lo, hi, margin
+
+
 def compression_norm(f: WienerElement, dim: int) -> float:
     """``||T_N(f)||`` for ``T_N(f) = build_unilateral(f, dim)``, without the matrix.
 
-    The square root of the largest eigenvalue of the banded Gram matrix
-    ``T_N(f)^H T_N(f)`` (see :func:`_gram_band`), O(N q^2) for bandwidth
-    ``q``.
+    The square root of the upper end of the bracket :func:`_gram_eigenvalue`
+    certifies for the largest eigenvalue of the banded Gram matrix
+    ``T_N(f)^H T_N(f)`` (see :func:`_gram_band`): about 52 banded Cholesky
+    factorizations of O(N q^2) each, for degree ``q``.
     """
-    from scipy.linalg import eigvals_banded
-
     band, scale = _gram_band(f, dim)
     if scale == 0.0:
         return 0.0
-    last = band.shape[1] - 1
-    try:
-        top = eigvals_banded(band, lower=True, select="i", select_range=(last, last))[0]
-    except np.linalg.LinAlgError:  # LAPACK hbevx can fail on a band within 1e-16 of I
-        top = eigvals_banded(band, lower=True)[-1]
-    return scale * float(np.sqrt(max(top, 0.0)))
-
-
-def rayleigh_quotient(f: WienerElement, w: SzegoVector) -> complex:
-    """``<A k_w, k_w> / <k_w, k_w>`` for ``A = build_unilateral(f, len(k_w))``.
-
-    Converges to ``f(w.point)`` as the truncation grows, and its modulus
-    never exceeds the operator norm.
-    """
-    k = w.values
-    a = build_unilateral(f, k.shape[0]).matrix
-    return complex(np.vdot(k, a @ k) / np.vdot(k, k))
+    return scale * math.sqrt(_gram_eigenvalue(band)[1])
 
 
 @dataclass(frozen=True)

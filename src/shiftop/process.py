@@ -26,7 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from . import invertibility, wiener
-from ._digits import _CELL_WORDS, _DIGITS4, _g17_cells
+from ._digits import _CELL_WORDS, _DIGITS4, _divmod, _g17_cells
 # invert_causal is unused here but stays importable as process.invert_causal:
 # the benchmark's tracer self-tests rebind and restore it at this site
 from .invertibility import NotInvertibleError, Verdict, classify_roots, invert_causal  # noqa: F401
@@ -484,7 +484,7 @@ def _encode_rows(t0: int, path: np.ndarray, eps: np.ndarray, t_words: int) -> by
     groups = []
     rest = t
     for _ in range(2 * t_words):
-        rest, group = np.divmod(rest, 10**4)
+        rest, group = _divmod(rest, 10**4)
         groups.append(np.take(_DIGITS4, group))
     t_bytes = rows[:, :t_words].view(np.uint8)
     t_bytes[...] = np.stack(groups[::-1], axis=1).view(np.uint8)

@@ -22,17 +22,21 @@ pairs and decimal literals spliced in by a placeholder and a regex pass, the
 reference for the one-pass writer ``shiftop.cli._json_text``.
 ``canonical_form_oracle`` trims coefficients one generator step at a time,
 the reference for the vectorised ``WienerElement.__post_init__``.
+``SzegoVector`` and ``rayleigh_quotient`` test the compression ``T_N(f)``
+against the symbol inside the disc: Rayleigh quotients against truncated
+reproducing kernels converge to ``f(w)``.
 """
 
 import json
 import math
 import re
+from dataclasses import dataclass
 
 import numpy as np
 
 from shiftop import wiener
 from shiftop.invertibility import WideFloat
-from shiftop.operators import OperatorKind, TruncatedOperator, build_unilateral
+from shiftop.operators import OperatorKind, TruncatedOperator, _freeze, build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
 
@@ -180,3 +184,50 @@ def canonical_form_oracle(coeffs, offset: int = 0) -> tuple[tuple[complex, ...],
         return (0j,), 0
     last = max(i for i, c in enumerate(coeffs) if c != 0)
     return coeffs[first : last + 1], offset + first
+
+
+# Szego vectors are only defined strictly inside the circle.
+MAX_SZEGO_MODULUS = 1.0 - 1e-6
+
+
+@dataclass(frozen=True, eq=False)
+class SzegoVector:
+    """Truncated reproducing kernel at a point ``w`` strictly inside the circle.
+
+    ``values[k] = conj(w)**k`` for ``k = 0 .. dim-1``, so ``values[0] == 1``.
+    Rayleigh quotients against these vectors converge to ``f(w)``.
+    """
+
+    point: complex
+    values: np.ndarray
+
+    def __post_init__(self):
+        point = complex(self.point)
+        if abs(point) > MAX_SZEGO_MODULUS:
+            raise ValueError(
+                f"kernel point must satisfy |w| <= {MAX_SZEGO_MODULUS}, got |w| = {abs(point)}"
+            )
+        values = _freeze(self.values)
+        if values.ndim != 1 or values.shape[0] < 1:
+            raise ValueError("values must be a nonempty vector")
+        if values[0] != 1:
+            raise ValueError("values[0] must equal 1")
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "values", values)
+
+    @classmethod
+    def truncated(cls, point: complex, dim: int) -> "SzegoVector":
+        point = complex(point)
+        values = np.conj(point) ** np.arange(int(dim))
+        return cls(point, values)
+
+
+def rayleigh_quotient(f: WienerElement, w: SzegoVector) -> complex:
+    """``<A k_w, k_w> / <k_w, k_w>`` for ``A = build_unilateral(f, len(k_w))``.
+
+    Converges to ``f(w.point)`` as the truncation grows, and its modulus
+    never exceeds the operator norm.
+    """
+    k = w.values
+    a = build_unilateral(f, k.shape[0]).matrix
+    return complex(np.vdot(k, a @ k) / np.vdot(k, k))

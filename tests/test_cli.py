@@ -112,6 +112,33 @@ def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
         assert calls == {"operator_norm": 0, "build_unilateral": 0, "compression_norm": len(dims)}
 
 
+def test_analyze_gates_the_banded_inverse_norm_by_its_own_tol(runner, tmp_path, monkeypatch):
+    # a root 5e-5 outside the circle is Borderline at --tol 1e-4 and Invertible
+    # at 1e-9.  The asymmetry report takes the command's classification, so
+    # with power iteration cut to one step the banded inverse norm answers
+    # only when the command's own verdict is Invertible
+    monkeypatch.setattr(invertibility, "INVERSE_NORM_MAX_STEPS", 1)
+    report, seen = invertibility.asymmetry_report, []
+
+    def recording(f, dims, classification):
+        rows = report(f, dims, classification)
+        seen.append((classification.tol, [row.inverse_route for row in rows]))
+        return rows
+
+    monkeypatch.setattr(invertibility, "asymmetry_report", recording)
+    near = WienerElement((1, -1 / (1 + 5e-5)))
+    f = wiener.multiply(near, WienerElement((1, -0.5, 0.02)))
+    coeffs = ",".join(repr(c.real) for c in f.coeffs)
+    for tol, verdict, route in (("1e-4", "Borderline", "power"), ("1e-9", "Invertible", "banded")):
+        out = tmp_path / tol
+        result = runner.invoke(
+            main, ["analyze", "--coeffs", coeffs, "--dims", "8,64", "--tol", tol, "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        assert read_json(out / "report.json")["roots"]["verdict"] == verdict
+        assert seen.pop() == (float(tol), [route, route])
+
+
 def strict_json(path):
     def reject(name):
         raise ValueError(f"non-RFC 8259 constant {name}")
@@ -776,7 +803,7 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch, failure):
 
 @pytest.mark.parametrize(
     "command, failing_call",
-    [("analyze", 1), ("analyze", 3), ("invert", 1), ("invert", 2), ("simulate", 1)],
+    [("analyze", 1), ("analyze", 2), ("invert", 1), ("invert", 2), ("simulate", 1)],
     ids=["analyze-classify", "analyze-inversion", "invert-classify", "invert-inversion", "simulate"],
 )
 def test_numerical_failure_exits_5(runner, tmp_path, monkeypatch, command, failing_call):

@@ -4,15 +4,15 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from shiftop import wiener
+from shiftop import operators, wiener
 from shiftop.cli import main
+from shiftop.invertibility import Verdict, classify_roots
 from shiftop.operators import (
     OperatorKind,
-    SzegoVector,
     build_bilateral,
     build_unilateral,
     compression_norm,
@@ -20,11 +20,10 @@ from shiftop.operators import (
     isometry_rows,
     isometry_sweep,
     operator_norm,
-    rayleigh_quotient,
 )
 from shiftop.wiener import ONE, WienerElement
 
-from oracles import build_toeplitz, dump_matrix
+from oracles import SzegoVector, build_toeplitz, dump_matrix, rayleigh_quotient
 
 
 def random_causal(rng, max_len=8, max_offset=2):
@@ -250,7 +249,7 @@ def test_compression_norm_exact_cases_and_errors():
     st.integers(0, 3),
     st.lists(st.integers(1, 40), min_size=1, max_size=4, unique=True),
 )
-@example(coeffs=[52j, 1e-14, 1e-14], offset=1, dims=[32])  # LAPACK hbevx fails here
+@example(coeffs=[52j, 1e-14, 1e-14], offset=1, dims=[32])  # a band within 1e-16 of I
 # np.linalg.norm squares |a| into the subnormals and misses by 1.6e-5 relative
 @example(coeffs=[2.3851598944634437e-160 + 0j], offset=0, dims=[1])
 def test_compression_norm_bracket_and_monotone_property(coeffs, offset, dims):
@@ -266,6 +265,47 @@ def test_compression_norm_bracket_and_monotone_property(coeffs, offset, dims):
         assert math.hypot(*np.abs(head)) * (1 - 1e-12) <= value <= np.abs(head).sum() * (1 + 1e-12)
     for low, high in zip(norms, norms[1:]):
         assert high >= low * (1 - 1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+        min_size=1,
+        max_size=8,
+    ),
+    st.integers(1, 128),
+)
+@example(coeffs=[0, 52j, 1e-14, 1e-14], dim=32)  # a band within 1e-16 of I
+@example(coeffs=[45036, 1e-9], dim=3)  # the SVD misses sigma_max by 70 eps
+@example(coeffs=[2.225073858507e-311 + 2.225073858507e-311j], dim=1)  # a subnormal scale
+@example(coeffs=[1, 1 / 2.5 - 1 / 3, -1 / 7.5], dim=128)  # roots 3 and -2.5: the banded route
+def test_gram_eigenvalue_certificate_property(coeffs, dim):
+    # the bracket, widened by its margin, holds the squared extreme singular
+    # values of T_N(f) / s from a dense SVD: the largest always, the smallest
+    # for an Invertible symbol, the case the inverse norm reads it for.  The
+    # SVD is itself accurate only to about 100 eps * sigma_max, the tolerance
+    # below which LAPACK's bidiagonal SVD deflates an entry
+    f = WienerElement(tuple(coeffs))
+    band, scale = operators._gram_band(f, dim)
+    assume(scale > 0)
+    # the SVD of the matrix scaled by a power of two into the normal range,
+    # exactly: a subnormal matrix's singular values lose bits
+    shift = -math.frexp(scale)[1]
+    matrix = np.ldexp(build_unilateral(f, dim).matrix.view(float), shift).view(complex)
+    singular = np.linalg.svd(matrix, compute_uv=False) / math.ldexp(scale, shift)
+    slack = 256 * np.finfo(float).eps * singular[0] ** 2
+    lo, hi, margin = operators._gram_eigenvalue(band)
+    assert 0 < margin < 1e-11 * hi
+    assert lo <= hi <= lo * (1 + 4e-16)
+    assert lo - margin - slack <= singular[0] ** 2 <= hi + margin + slack
+    try:
+        invertible = f.coeff(0) != 0 and classify_roots(f).verdict is Verdict.INVERTIBLE
+    except FloatingPointError:  # a root past float max
+        invertible = False
+    if invertible:
+        lo, hi, margin = operators._gram_eigenvalue(band, lowest=True)
+        assert lo <= hi and lo - margin - slack <= singular[-1] ** 2 <= hi + margin + slack
 
 
 # -- Szego vectors and Rayleigh quotients --------------------------------------
