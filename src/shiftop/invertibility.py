@@ -47,7 +47,9 @@ DEFAULT_MAX_LEN = 4096
 DEFAULT_EPS = 1e-10
 
 # Block power iteration for ||T_N(f)^{-1}||: the step cap, and the bound on
-# the extrapolated relative error below which the estimate has settled.
+# the extrapolated relative error below which the estimate has settled.  On an
+# Invertible symbol the banded route may answer before the cap, once the change
+# projected to the cap stays above this bound (see _power_stalled).
 INVERSE_NORM_MAX_STEPS = 64
 INVERSE_NORM_TOL = 1e-14
 
@@ -385,10 +387,14 @@ class AsymmetryRow:
     properties ``norm_triangular_inverse``, ``norm_circulant_inverse`` and
     ``cond_triangular`` read ``inf`` past float max and for ``None``.
     ``inverse_route`` names what answered that norm: ``"power"`` (block
-    power iteration), ``"banded"`` (the smallest banded Gram eigenvalue, by
-    bisection on banded Cholesky factorizations, after power iteration did
-    not settle on an Invertible symbol) or ``"none"`` (``a_0 = 0``).
-    ``inverse_steps`` counts the power steps taken and ``inverse_change`` is
+    power iteration), ``"banded"`` (the smallest singular value from the
+    banded Gram matrix, by bisection on banded Cholesky factorizations and a
+    Rayleigh quotient) or ``"none"`` (``a_0 = 0``).  The banded route answers
+    only for an Invertible symbol whose power iteration has not settled,
+    and only where its error bound ``u cond**2 / 2`` lies below the power
+    estimate's: the change projected to the cap before it, the extrapolated
+    remainder at it.  ``inverse_steps`` counts the power steps taken, below
+    the cap on a ``"banded"`` row that left early, and ``inverse_change`` is
     the last relative change of the power estimate.
     """
 
@@ -424,8 +430,68 @@ class AsymmetryRow:
         return self.wide_norm_triangular_inverse * WideFloat.of(self.norm_triangular)
 
 
+def _banded_inverse_norm(
+    f: WienerElement, dim: int, taps: np.ndarray, start: np.ndarray
+) -> float | None:
+    """``2**t ||T_N(f)^{-1}|| = 1 / sigma_min`` for ``taps = (a_0 .. a_q) / 2**t``;
+    None when the Gram matrix is singular in float arithmetic.
+
+    Bisection by inertia (:func:`operators._gram_eigenvalue`) brackets the
+    smallest eigenvalue of the banded Gram matrix ``G = T_N(f)^H T_N(f)``
+    between adjacent floats, but ``G`` itself is rounded: the bracket is good
+    only to ``u ||G||``, and ``sigma_min`` to ``u cond**2 / 2``.  The banded
+    Cholesky factor of ``G - lo I`` at the bracket's lower end then takes two
+    steps of shifted inverse iteration from ``start``, and the answer is the
+    Rayleigh quotient ``||v|| / ||T v||`` formed with ``T`` itself, by
+    convolution with ``taps``: within about an ulp when the bottom of the
+    spectrum does not cluster, and about ``u cond**2`` at worst, as the
+    bracket.
+    """
+    from scipy.linalg import lapack
+
+    gram = operators._gram_band(f, dim)[0]
+    lowest = operators._gram_eigenvalue(gram, lowest=True)[0]
+    gram[0] -= lowest  # the shift at which the bisection's Cholesky succeeded
+    factor, info = lapack.zpbtrf(gram, lower=1, overwrite_ab=1)
+    if lowest <= 0 or info != 0:
+        return None
+    v = start.astype(complex)
+    for _ in range(2):
+        v = lapack.zpbtrs(factor, v, lower=1)[0]
+        v /= np.linalg.norm(v)
+    # T v cancels down to sigma_min, which would cost about q cond ulps in
+    # float64; extended precision, where the platform has it, keeps them
+    v = v.astype(np.clongdouble)
+    tv = np.convolve(taps.astype(np.clongdouble), v)[:dim]
+    return float(np.sqrt(np.vdot(v, v).real / np.vdot(tv, tv).real))
+
+
+def _power_stalled(step: int, change: float, previous: float, banded_error: float) -> bool:
+    """Whether the banded route answers for an unsettled power iteration at ``step``.
+
+    ``change`` and ``previous`` are the last two relative changes of the
+    power estimate, ``r = change / previous`` their rate, and
+    ``banded_error`` the banded route's relative error.  At
+    ``INVERSE_NORM_MAX_STEPS`` the banded route answers when its error is
+    below the power estimate's extrapolated one, ``change / (1 - r)``, or
+    ``change`` when ``r >= 1`` or is undefined.  Before the cap, from step 3
+    on (step 1's change is always 1, so the rate at step 2 means nothing), it
+    answers once the change projected to the cap, ``change * r**(cap -
+    step)`` with ``0 < r < 1``, exceeds both ``INVERSE_NORM_TOL`` and
+    ``banded_error``: the iteration would end at the cap unsettled, where
+    the banded route would answer all the same.
+    """
+    rate = change / previous  # nan at step 1
+    if step == INVERSE_NORM_MAX_STEPS:
+        return banded_error < (change / (1.0 - rate) if 0 < rate < 1 else change)
+    if step < 3 or not 0 < rate < 1:
+        return False
+    projected = change * rate ** (INVERSE_NORM_MAX_STEPS - step)
+    return projected > max(INVERSE_NORM_TOL, banded_error)
+
+
 def _triangular_inverse_norm(
-    f: WienerElement, dim: int, rho: float, invertible: bool
+    f: WienerElement, dim: int, rho: float, invertible: bool, norm: float
 ) -> tuple[WideFloat, str, int, float]:
     """``||T_N(f)^{-1}||`` with no N x N matrix: (norm, route, steps, change).
 
@@ -451,12 +517,16 @@ def _triangular_inverse_norm(
     changes, are both below ``INVERSE_NORM_TOL``.  When the top singular
     values cluster instead, as for roots far outside the circle, it may not
     settle within ``INVERSE_NORM_MAX_STEPS``.  For an Invertible symbol the
-    norm is then ``1/sqrt`` of the lower end of the bracket that bisection by
-    inertia (:func:`operators._gram_eigenvalue`, about 52 banded Cholesky
-    factorizations of O(N q^2) each) certifies for the smallest eigenvalue
-    of the banded Gram matrix ``T_N(f)^H T_N(f)``, accurate to about
-    ``eps * cond**2`` with the condition number bounded by the symbol;
-    otherwise the unsettled power estimate stands, and ``change`` shows it.
+    banded route (:func:`_banded_inverse_norm`, about 52 banded Cholesky
+    factorizations of O(N q^2) each) may answer instead; its relative error
+    is at most about ``u cond**2 / 2``, ``u = 2**-53``, with ``cond`` taken
+    as ``norm = ||T_N(f)||`` times the power estimate.
+    :func:`_power_stalled` weighs that against the power estimate's own
+    error: from step 3 on it leaves the loop once the change projected to
+    the cap stays above both ``INVERSE_NORM_TOL`` and the banded error, and
+    at the cap it keeps the estimate whose error is the smaller.  Otherwise,
+    and where the Gram matrix is singular in float arithmetic, the unsettled
+    power estimate stands, and ``change`` shows it.
     """
     a = f.to_array()
     q = len(a) - 1
@@ -474,7 +544,8 @@ def _triangular_inverse_norm(
     left, right = np.ldexp(1.0, e - e[-1])[:, None], np.ldexp(1.0, -e)[:, None]
     start = np.random.default_rng(0).standard_normal((dim, q + 1))
     x = np.linalg.qr(start.astype(complex))[0]
-    sigma, change, previous = 0.0, math.nan, math.nan
+    unit = sys.float_info.epsilon / 2
+    sigma, change, previous, stalled = 0.0, math.nan, math.nan, False
     for step in range(1, INVERSE_NORM_MAX_STEPS + 1):
         y = left * _solve_unilateral(band, right * x)
         ritz = math.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1])
@@ -485,14 +556,17 @@ def _triangular_inverse_norm(
             change == 0.0 or change * change <= INVERSE_NORM_TOL * (previous - change)
         ):
             break
-        x = np.linalg.qr(right * _solve_unilateral(band, left * y, "C"))[0]
-    else:
         if invertible:
-            gram, scale = operators._gram_band(f, dim)
-            lowest = operators._gram_eigenvalue(gram, lowest=True)[0]
-            if lowest > 0:
-                wide = (WideFloat.of(scale) * WideFloat.of(math.sqrt(lowest))).reciprocal()
-                return wide, "banded", step, change
+            # the banded route's relative error u cond**2 / 2; scaling the norm,
+            # not sigma, keeps cond in float range for a subnormal symbol.  An
+            # Invertible symbol has rho = 1, so e = 0 and band[:, 0] = a / 2**t
+            cond = math.ldexp(norm, int(e[-1]) - t) * sigma
+            if stalled := _power_stalled(step, change, previous, unit * cond * cond / 2):
+                break
+        x = np.linalg.qr(right * _solve_unilateral(band, left * y, "C"))[0]
+    if stalled and (banded := _banded_inverse_norm(f, dim, band[:, 0], start[:, 0])):
+        mantissa, exponent = math.frexp(banded)
+        return WideFloat(mantissa, exponent - t), "banded", step, change
     mantissa, exponent = math.frexp(sigma)
     return WideFloat(mantissa, exponent + int(e[-1]) - t), "power", step, change
 
@@ -548,7 +622,9 @@ def asymmetry_report(
         if a0 == 0:
             wide, route, steps, change = None, "none", 0, 0.0
         else:
-            wide, route, steps, change = _triangular_inverse_norm(f, dim, rho, invertible)
+            wide, route, steps, change = _triangular_inverse_norm(
+                f, dim, rho, invertible, norm_tri
+            )
         rows.append(
             AsymmetryRow(dim, cond_circ, singular, norm_tri, wide, route, steps, change, wide_circ)
         )

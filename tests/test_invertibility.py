@@ -477,11 +477,29 @@ NEAR_CIRCLE_SYMBOLS = [
 ]
 
 
-@pytest.mark.parametrize("f", SERIES_ROUTE_SYMBOLS + BENCH_CLASS_SYMBOLS + NEAR_CIRCLE_SYMBOLS)
+# seven roots 1.6e-5 to 9.3e-3 outside the circle: at N = 512 and 1024 the
+# power estimate ends at the cap in rounding noise near 1e-12, while the
+# banded route's error bound u cond**2 / 2 is about 6e-4 at cond 3.2e6
+SEVEN_NEAR_ROOTS = from_roots(
+    [
+        polar(1 + d, a)
+        for d, a in (
+            (7.8e-5, -0.46), (1.0e-3, -1.19), (3.3e-5, -2.41), (9.3e-3, -2.12),
+            (1.6e-5, -0.44), (5.8e-3, 1.2), (3.1e-4, -0.37),
+        )
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "f", SERIES_ROUTE_SYMBOLS + BENCH_CLASS_SYMBOLS + NEAR_CIRCLE_SYMBOLS + [SEVEN_NEAR_ROOTS]
+)
 def test_inverse_norm_matches_dense_svd(f):
     dims = (8, 64, 256)
     if f in NEAR_CIRCLE_SYMBOLS:
         dims += (1024,)
+    if f == SEVEN_NEAR_ROOTS:
+        dims = (512, 1024)
     for row in asymmetry_report(f, dims):
         oracle = dense_inverse_norm(f, row.dim)
         if not math.isfinite(oracle):
@@ -492,11 +510,16 @@ def test_inverse_norm_matches_dense_svd(f):
 
 def test_inverse_norm_routes():
     # far outside roots cluster the top singular values: power iteration
-    # runs to its cap and the banded eigenvalue answers
+    # stalls, its change projected to the cap stays above the tol, and the
+    # banded route answers before the cap
     far = asymmetry_report(from_roots([3.0, -2.5]), (256,))[0]
     assert far.inverse_route == "banded"
-    assert far.inverse_steps == inv.INVERSE_NORM_MAX_STEPS
+    assert far.inverse_steps < inv.INVERSE_NORM_MAX_STEPS
     assert far.inverse_change > inv.INVERSE_NORM_TOL
+    # at the cap, an estimate in rounding noise beats the banded u cond**2 / 2
+    near = asymmetry_report(SEVEN_NEAR_ROOTS, (512,))[0]
+    assert (near.inverse_route, near.inverse_steps) == ("power", inv.INVERSE_NORM_MAX_STEPS)
+    assert near.inverse_change > inv.INVERSE_NORM_TOL
     pair = from_roots([polar(1.001, 1.0), polar(1.001, -1.0)])
     for f in (from_roots([1.001]), pair, from_roots([0.5]), WienerElement((3,))):
         row = asymmetry_report(f, (1024,))[0]
@@ -509,6 +532,26 @@ def test_inverse_norm_routes():
     none = asymmetry_report(wiener.monomial(1), (4,))[0]
     assert (none.inverse_route, none.inverse_steps, none.wide_norm_triangular_inverse) == ("none", 0, None)
     assert none.wide_cond_triangular is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    roots=st.lists(
+        st.tuples(st.floats(1.01, 8.0), st.floats(-math.pi, math.pi)), min_size=1, max_size=7
+    ),
+    dim=st.integers(8, 256),
+)
+# two double roots: one outlying rate at step 5 ends a loop that would have
+# settled at step 21; the bisection bracket alone is 3.2e-11 off there
+@example(roots=[(1.09375, 0.0), (1.09375, 0.0), (1.09375, 1.09375), (1.09375, 1.09375)], dim=125)
+def test_inverse_norm_stall_exit_matches_dense_svd_property(roots, dim):
+    # wherever power iteration leaves for the banded route before its cap,
+    # the banded norm is as good as a settled power estimate
+    f = from_roots([polar(r, t) for r, t in roots])
+    assume(classify_roots(f).verdict is Verdict.INVERTIBLE)
+    row = asymmetry_report(f, (dim,))[0]
+    assume(row.inverse_route == "banded" and row.inverse_steps < inv.INVERSE_NORM_MAX_STEPS)
+    assert_allclose(row.norm_triangular_inverse, dense_inverse_norm(f, dim), rtol=1e-11)
 
 
 @pytest.mark.parametrize("scale", [1e300, 1e-300, -3j])
