@@ -1,13 +1,15 @@
 """Finite truncations of shift operators driven by transfer symbols.
 
 The package models transfer functions with absolutely summable coefficients
-as finitely supported Laurent series, realizes them as unilateral
-(triangular Toeplitz) and bilateral (circulant) matrix truncations, and
-quantifies the invertibility asymmetry between the two: a symbol with a root
-inside the unit circle inverts anticausally on the bilateral side while its
-triangular truncations blow up geometrically.  A process layer drives
-moving-average simulations, innovation recovery, and ergodic checks off the
-same symbols, and a CLI (``shiftop``) exposes the reports.
+as finitely supported Laurent series, takes the norms of their unilateral
+(triangular Toeplitz) truncations, and quantifies the invertibility asymmetry
+between those and the bilateral (circulant) truncations, read off the
+symbol's grid spectrum: a symbol with a root inside the unit circle inverts
+anticausally on the bilateral side while its triangular truncations blow up
+geometrically.  A process layer drives moving-average simulations,
+innovation recovery, and ergodic checks off the same symbols, and a CLI
+(``shiftop``) exposes the reports.  A function is exported only while the
+commands, the acceptance checks, the benchmark or another module call it.
 """
 
 __version__ = "0.1.0"
@@ -16,14 +18,11 @@ from .wiener import (
     ONE,
     ZERO,
     WienerElement,
-    add,
     evaluate,
     evaluate_on_grid,
     l1_norm,
     load_coefficients,
-    monomial,
     multiply,
-    save_coefficients,
     sup_norm,
     sup_norm_grid_error,
 )
@@ -31,7 +30,6 @@ from .operators import (
     IsometryRow,
     OperatorKind,
     TruncatedOperator,
-    build_bilateral,
     build_unilateral,
     compression_norm,
     isometry_sweep,
@@ -59,7 +57,7 @@ from .process import (
     WoldEstimate,
     divergence_demo,
     ergodic_mean_check,
-    formal_ar_coefficients,
+    formal_reconstruction,
     l1_filter_convergence,
     ma_autocovariance,
     reconstruct_innovations,
@@ -72,20 +70,16 @@ __all__ = [
     "ONE",
     "ZERO",
     "WienerElement",
-    "add",
     "evaluate",
     "evaluate_on_grid",
     "l1_norm",
     "load_coefficients",
-    "monomial",
     "multiply",
-    "save_coefficients",
     "sup_norm",
     "sup_norm_grid_error",
     "IsometryRow",
     "OperatorKind",
     "TruncatedOperator",
-    "build_bilateral",
     "build_unilateral",
     "compression_norm",
     "isometry_sweep",
@@ -109,7 +103,7 @@ __all__ = [
     "WoldEstimate",
     "divergence_demo",
     "ergodic_mean_check",
-    "formal_ar_coefficients",
+    "formal_reconstruction",
     "l1_filter_convergence",
     "ma_autocovariance",
     "reconstruct_innovations",

@@ -52,11 +52,6 @@ EXIT_BORDERLINE = 3
 EXIT_TAIL_NOT_CERTIFIED = 4
 EXIT_NUMERICAL_FAILURE = 5
 
-# Truncation cap for CLI inversions; certification failures exit with code 4.
-INVERT_MAX_LEN = 65536
-
-SEED_ENV_VAR = "SHIFTOP_SEED"
-
 
 class InputError(ValueError):
     """Invalid command input; maps to exit code 2."""
@@ -107,16 +102,6 @@ def _eps_option(ctx, param, value: float) -> float:
         return invertibility._checked_eps(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
-
-
-def _resolve_seed(seed: int) -> int:
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None or env == "":
-        return seed
-    try:
-        return int(env)
-    except ValueError:
-        raise InputError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def _error_exit(exc: ValueError | FloatingPointError) -> int:
@@ -285,8 +270,8 @@ def _invert(f: WienerElement, side: InversionSide, eps: float):
     """The certified inverse on ``side``; both routines are looked up on the
     module at call time, so a rebound attribute is the one called."""
     if side is InversionSide.CAUSAL:
-        return invertibility.invert_causal(f, INVERT_MAX_LEN, eps)
-    return invertibility.invert_anticausal(f, INVERT_MAX_LEN, eps)
+        return invertibility.invert_causal(f, eps=eps)
+    return invertibility.invert_anticausal(f, eps=eps)
 
 
 def _inversion_block(f: WienerElement, classification, eps: float):
@@ -300,7 +285,7 @@ def _inversion_block(f: WienerElement, classification, eps: float):
         bound = exc.achieved_bound
         return {
             "available": False,
-            "reason": f"tail not certified within {INVERT_MAX_LEN} coefficients",
+            "reason": f"tail not certified within {exc.max_len} coefficients",
             # the bound itself overflows for a high degree near the circle
             "achieved_bound": bound if math.isfinite(bound) else None,
         }
@@ -471,7 +456,7 @@ def cmd_simulate(
         verdict = classification.verdict
         table_name = None
         if verdict is not Verdict.BORDERLINE and max_lag >= 1:
-            report = process._formal_reconstruction(sample, max_lag)
+            report = process.formal_reconstruction(sample, max_lag)
             # a diverging ladder ends at its last finite MSE
             max_lag = report.lag_cutoff
             invertible = verdict is Verdict.INVERTIBLE
@@ -603,7 +588,7 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
     default=0,
     show_default=True,
     type=click.IntRange(min=0),
-    help=f"PRNG seed ({SEED_ENV_VAR} overrides).",
+    help="PRNG seed.",
 )
 @click.option("--sigma", default=1.0, show_default=True, help="Innovation standard deviation.")
 @click.option(
@@ -619,7 +604,7 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
 def simulate_command(coeffs, coeffs_file, t_len, seed, sigma, max_lag, tol, out):
     """Simulate a moving-average path and its reconstruction diagnostics."""
     f = _resolve_symbol(coeffs, coeffs_file)
-    return cmd_simulate(f, t_len, _resolve_seed(seed), sigma, max_lag, tol, Path(out))
+    return cmd_simulate(f, t_len, seed, sigma, max_lag, tol, Path(out))
 
 
 if __name__ == "__main__":

@@ -43,7 +43,9 @@ DEFAULT_ROOT_TOL = 1e-9
 MIN_ROOT_TOL = 1e-12
 MAX_ROOT_TOL = 1e-4
 
-DEFAULT_MAX_LEN = 4096
+# Truncation cap of the certified inverses, the CLI's too: past it the tail
+# is not certified (exit 4).
+DEFAULT_MAX_LEN = 65536
 DEFAULT_EPS = 1e-10
 
 # Block power iteration for ||T_N(f)^{-1}||: the step cap, and the bound on
@@ -352,9 +354,6 @@ class WideFloat:
         if self.exponent > sys.float_info.max_exp:
             return math.inf
         return math.ldexp(self.mantissa, self.exponent)
-
-    def log10(self) -> float:
-        return math.log10(self.mantissa) + self.exponent * math.log10(2.0)
 
     def text(self) -> str:
         """``%.17g`` of the value; past float max, a decimal literal of that form.

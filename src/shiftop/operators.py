@@ -1,14 +1,9 @@
 """Finite truncations of shift operators and their norms.
 
-Two families of matrices realize a symbol ``f``:
-
-* ``build_unilateral(f, N)``: the compression of ``f`` applied to the
-  unilateral shift ``T e_j = e_{j+1}`` onto the first ``N`` basis vectors.
-  For causal ``f`` this is the lower-triangular Toeplitz matrix with
-  ``a_{i-j}`` at entry ``(i, j)``.
-* ``build_bilateral(f, N)``: the symbol applied to the cyclic shift, a
-  circulant matrix whose eigenvalues are the symbol's values at the N-th
-  roots of unity.
+``build_unilateral(f, N)`` is the compression of ``f`` applied to the
+unilateral shift ``T e_j = e_{j+1}`` onto the first ``N`` basis vectors.  For
+causal ``f`` this is the lower-triangular Toeplitz matrix with ``a_{i-j}`` at
+entry ``(i, j)``.
 
 ``compression_norm(f, N)`` reads ``||T_N(f)||`` off the banded Gram matrix
 ``T_N(f)^H T_N(f)`` of bandwidth ``q = deg f``: bisection by inertia brackets
@@ -36,7 +31,6 @@ __all__ = [
     "TruncatedOperator",
     "IsometryRow",
     "build_unilateral",
-    "build_bilateral",
     "operator_norm",
     "compression_norm",
     "isometry_dims",
@@ -107,29 +101,6 @@ def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
     i = np.arange(dim)
     matrix = padded[dim - 1 + i[:, None] - i[None, :]]
     return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
-
-
-def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
-    """Symbol applied to the cyclic shift: a circulant matrix.
-
-    Requires ``dim >= support_length`` so that distinct coefficients never
-    alias onto the same residue mod ``dim``; entry ``(i, j)`` is the
-    coefficient at the unique support index congruent to ``i - j``.
-    """
-    dim = int(dim)
-    if dim < 1:
-        raise ValueError("dim must be at least 1")
-    if dim < f.support_length:
-        raise ValueError(
-            f"dim {dim} is smaller than the support length {f.support_length}; "
-            "coefficients would alias"
-        )
-    first_col = np.zeros(dim, dtype=complex)
-    for k, c in enumerate(f.coeffs):
-        first_col[(f.offset + k) % dim] += c
-    i = np.arange(dim)
-    matrix = first_col[(i[:, None] - i[None, :]) % dim]
-    return TruncatedOperator(matrix, OperatorKind.BILATERAL_CIRCULANT, f, dim)
 
 
 def operator_norm(operator) -> float:

@@ -41,8 +41,8 @@ __all__ = [
     "WoldEstimate",
     "simulate",
     "reconstruct_innovations",
+    "formal_reconstruction",
     "divergence_demo",
-    "formal_ar_coefficients",
     "l1_filter_convergence",
     "ergodic_mean_check",
     "ma_autocovariance",
@@ -235,10 +235,10 @@ def reconstruct_innovations(sample: ProcessSample, max_lag: int) -> Reconstructi
             f"{classification.verdict.value}",
             classification,
         )
-    return _formal_reconstruction(sample, max_lag)
+    return formal_reconstruction(sample, max_lag)
 
 
-def formal_ar_coefficients(f: WienerElement, max_lag: int) -> np.ndarray:
+def _formal_ar_coefficients(f: WienerElement, max_lag: int) -> np.ndarray:
     """``b_1 .. b_max_lag`` from the formal series inverse, no convergence demanded.
 
     For symbols with a root inside the circle these diverge geometrically;
@@ -253,13 +253,18 @@ def formal_ar_coefficients(f: WienerElement, max_lag: int) -> np.ndarray:
     return b
 
 
-def _formal_reconstruction(sample: ProcessSample, max_lag: int) -> ReconstructionReport:
+def formal_reconstruction(sample: ProcessSample, max_lag: int) -> ReconstructionReport:
     """The formal autoregression's MSE ladder with no root guard: it decays for
-    an Invertible transfer and grows for one with a root inside the circle."""
+    an Invertible transfer and grows for one with a root inside the circle.
+
+    The ``simulate`` command calls it on the exported sample, whatever the
+    verdict; :func:`reconstruct_innovations` and :func:`divergence_demo` call
+    it behind their root guards.
+    """
     max_lag = int(max_lag)
     if max_lag < 1:
         raise ValueError("max_lag must be at least 1")
-    b = formal_ar_coefficients(sample.transfer, max_lag)
+    b = _formal_ar_coefficients(sample.transfer, max_lag)
     ladder = _ar_ladder_mse(sample, b, max_lag)
     cutoff = ladder[-1][0]
     return ReconstructionReport(tuple(b[1 : cutoff + 1]), cutoff, tuple(ladder))
@@ -285,7 +290,7 @@ def divergence_demo(
             f"{classification.verdict.value}"
         )
     sample = simulate(f, sigma, t_len, seed)
-    return list(_formal_reconstruction(sample, max_lag).mse_per_cutoff)
+    return list(formal_reconstruction(sample, max_lag).mse_per_cutoff)
 
 
 @dataclass(frozen=True)

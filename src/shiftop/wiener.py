@@ -24,8 +24,6 @@ __all__ = [
     "WienerElement",
     "ONE",
     "ZERO",
-    "monomial",
-    "add",
     "multiply",
     "l1_norm",
     "evaluate",
@@ -33,9 +31,7 @@ __all__ = [
     "sup_norm",
     "sup_norm_grid_error",
     "to_json_dict",
-    "from_json_dict",
     "load_coefficients",
-    "save_coefficients",
 ]
 
 # Tolerance on | |z| - 1 | accepted by pointwise evaluation.
@@ -98,10 +94,6 @@ class WienerElement:
         return self.offset >= 0
 
     @property
-    def min_index(self) -> int:
-        return self.offset
-
-    @property
     def degree(self) -> int:
         """Largest stored index (0 for the zero element)."""
         return self.offset + len(self.coeffs) - 1
@@ -125,9 +117,9 @@ class WienerElement:
 
     def __add__(self, other):
         if isinstance(other, WienerElement):
-            return add(self, other)
+            return _add(self, other)
         if isinstance(other, (int, float, complex)):
-            return add(self, WienerElement((other,)))
+            return _add(self, WienerElement((other,)))
         return NotImplemented
 
     __radd__ = __add__
@@ -137,9 +129,9 @@ class WienerElement:
 
     def __sub__(self, other):
         if isinstance(other, WienerElement):
-            return add(self, -other)
+            return _add(self, -other)
         if isinstance(other, (int, float, complex)):
-            return add(self, WienerElement((-other,)))
+            return _add(self, WienerElement((-other,)))
         return NotImplemented
 
     def __rsub__(self, other):
@@ -159,12 +151,7 @@ ZERO = WienerElement((0j,))
 ONE = WienerElement((1.0 + 0j,))
 
 
-def monomial(n: int, coefficient: complex = 1.0) -> WienerElement:
-    """The single-term element ``coefficient * z**n``."""
-    return WienerElement((coefficient,), n)
-
-
-def add(f: WienerElement, g: WienerElement) -> WienerElement:
+def _add(f: WienerElement, g: WienerElement) -> WienerElement:
     """Coefficientwise sum (exact float additions, canonical trim)."""
     if f.is_zero:
         return g
@@ -284,8 +271,9 @@ def sup_norm_grid_error(f: WienerElement, grid_size: int) -> float:
 #
 # { "offset": int, "coeffs": [[re, im], ...] }
 #
-# Floats are written with shortest round-trip repr, so values survive the
-# decimal round trip exactly (beyond the 15 significant digits required).
+# The CLI's JSON writer gives floats their shortest round-trip repr, so values
+# survive the decimal round trip exactly (beyond the 15 significant digits
+# required); load_coefficients reads the format back.
 
 
 def to_json_dict(f: WienerElement) -> dict:
@@ -295,7 +283,7 @@ def to_json_dict(f: WienerElement) -> dict:
     }
 
 
-def from_json_dict(data) -> WienerElement:
+def _from_json_dict(data) -> WienerElement:
     """Parse the JSON coefficient format, naming the offending field on error."""
     if not isinstance(data, dict):
         raise ValueError("coefficient document must be a JSON object")
@@ -333,8 +321,4 @@ def load_coefficients(path) -> WienerElement:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-    return from_json_dict(data)
-
-
-def save_coefficients(f: WienerElement, path) -> None:
-    Path(path).write_text(json.dumps(to_json_dict(f), indent=2, allow_nan=False) + "\n")
+    return _from_json_dict(data)

@@ -3,7 +3,12 @@
 ``build_toeplitz`` builds the same matrix as
 :func:`shiftop.operators.build_unilateral` through a deliberately different
 route (projected multiplication, column by column), so the two can be
-compared entrywise.  ``dump_matrix`` writes a dense text dump for exact
+compared entrywise.  ``build_bilateral`` builds the circulant truncation,
+whose eigenvalues are the symbol's values at the N-th roots of unity: the
+bilateral side of the asymmetry that
+:func:`shiftop.invertibility.asymmetry_report` reads off the grid spectrum.
+``wide_log10`` is the base-10 logarithm of a ``WideFloat`` past float max.
+``dump_matrix`` writes a dense text dump for exact
 round-trip comparisons.  ``sample_csv_oracle`` writes ``sample.csv`` one
 f-string per row, the reference for the block encoder in
 :func:`shiftop.process.sample_to_csv`.  ``series_inverse_oracle`` runs the
@@ -58,10 +63,38 @@ def build_toeplitz(f: WienerElement, dim: int) -> TruncatedOperator:
         )
     matrix = np.zeros((dim, dim), dtype=complex)
     for j in range(dim):
-        shifted = wiener.multiply(f, wiener.monomial(j))
+        shifted = wiener.multiply(f, WienerElement((1,), j))
         for i in range(dim):
             matrix[i, j] = shifted.coeff(i)
     return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
+
+
+def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
+    """Symbol applied to the cyclic shift: a circulant matrix.
+
+    Requires ``dim >= support_length`` so that distinct coefficients never
+    alias onto the same residue mod ``dim``; entry ``(i, j)`` is the
+    coefficient at the unique support index congruent to ``i - j``.
+    """
+    dim = int(dim)
+    if dim < 1:
+        raise ValueError("dim must be at least 1")
+    if dim < f.support_length:
+        raise ValueError(
+            f"dim {dim} is smaller than the support length {f.support_length}; "
+            "coefficients would alias"
+        )
+    first_col = np.zeros(dim, dtype=complex)
+    for k, c in enumerate(f.coeffs):
+        first_col[(f.offset + k) % dim] += c
+    i = np.arange(dim)
+    matrix = first_col[(i[:, None] - i[None, :]) % dim]
+    return TruncatedOperator(matrix, OperatorKind.BILATERAL_CIRCULANT, f, dim)
+
+
+def wide_log10(w: WideFloat) -> float:
+    """``log10`` of ``w = mantissa * 2**exponent``, also past float max."""
+    return math.log10(w.mantissa) + w.exponent * math.log10(2.0)
 
 
 def dump_matrix(operator: TruncatedOperator) -> str:

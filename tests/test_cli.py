@@ -419,7 +419,7 @@ def test_analyze_coeffs_file_diagnostics(runner, tmp_path):
 
 def test_analyze_rejects_anticausal_symbol(runner, tmp_path):
     path = tmp_path / "anti.json"
-    wiener.save_coefficients(WienerElement((1, 1), offset=-1), path)
+    path.write_text(json.dumps(wiener.to_json_dict(WienerElement((1, 1), offset=-1))))
     result = runner.invoke(
         main, ["analyze", "--coeffs-file", str(path), "--out", str(tmp_path / "o")]
     )
@@ -440,7 +440,7 @@ def test_invert_causal_writes_loadable_inverse(runner, tmp_path):
     document = read_json(out / "inverse.json")
     assert document["side"] == "causal"
     assert document["tail_bound"] <= document["eps"] == 1e-10
-    assert wiener.from_json_dict(document["source"]) == WienerElement((1, -0.5))
+    assert document["source"] == wiener.to_json_dict(WienerElement((1, -0.5)))
     # the file doubles as a coefficient file for other commands
     inverse = wiener.load_coefficients(out / "inverse.json")
     assert inverse.coeff(3) == 0.125
@@ -672,7 +672,6 @@ def test_simulate_rejects_negative_max_lag(runner, tmp_path):
         result = runner.invoke(
             main,
             ["simulate", "--coeffs", "1,0.5", option, value, "--out", str(out)],
-            env={"SHIFTOP_SEED": None},
         )
         assert result.exit_code == 2, option
         assert f"Invalid value for '{option}'" in result.output
@@ -717,34 +716,6 @@ def test_simulate_normalization_hint(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "a_0" in result.output
-
-
-def test_simulate_seed_env_override(runner, tmp_path):
-    out = tmp_path / "out"
-    result = runner.invoke(
-        main,
-        ["simulate", "--coeffs", "1,0.5", "--T", "50", "--seed", "5", "--out", str(out)],
-        env={"SHIFTOP_SEED": "9"},
-    )
-    assert result.exit_code == 0
-    assert read_json(out / "metadata.json")["seed"] == 9
-
-    result = runner.invoke(
-        main,
-        ["simulate", "--coeffs", "1,0.5", "--T", "50", "--out", str(out)],
-        env={"SHIFTOP_SEED": "many"},
-    )
-    assert result.exit_code == 2
-    assert "SHIFTOP_SEED" in result.output
-
-    result = runner.invoke(
-        main,
-        ["simulate", "--coeffs", "1,0.5", "--T", "50", "--out", str(tmp_path / "negative")],
-        env={"SHIFTOP_SEED": "-1"},
-    )
-    assert result.exit_code == 2
-    assert "seed must be a nonnegative integer" in result.output
-    assert not (tmp_path / "negative").exists()
 
 
 def test_simulate_memory_is_below_its_sample_csv(tmp_path):
@@ -822,7 +793,7 @@ def test_numerical_failure_exits_5(runner, tmp_path, monkeypatch, command, faili
     monkeypatch.setattr(invertibility, "_companion_eigenvalues", failing)
     out = tmp_path / "out"
     result = runner.invoke(
-        main, [command, "--coeffs", "1,-0.5", "--out", str(out)], env={"SHIFTOP_SEED": None}
+        main, [command, "--coeffs", "1,-0.5", "--out", str(out)]
     )
     assert result.exit_code == 5, result.output
     assert "numerical failure: Eigenvalues did not converge" in result.output
@@ -838,7 +809,7 @@ def test_floating_point_error_exits_5(runner, tmp_path, monkeypatch, command):
     monkeypatch.setattr(invertibility, "_companion_eigenvalues", failing)
     out = tmp_path / "out"
     result = runner.invoke(
-        main, [command, "--coeffs", "1,-0.5", "--out", str(out)], env={"SHIFTOP_SEED": None}
+        main, [command, "--coeffs", "1,-0.5", "--out", str(out)]
     )
     assert result.exit_code == 5, result.output
     assert "numerical failure: overflow encountered in ldexp" in result.output
@@ -910,7 +881,7 @@ def test_invert_rerun_is_byte_identical_property(roots, inside):
 
 def test_coeffs_file_drives_invert(runner, tmp_path):
     path = tmp_path / "symbol.json"
-    wiener.save_coefficients(WienerElement((1, -0.5)), path)
+    path.write_text(json.dumps(wiener.to_json_dict(WienerElement((1, -0.5)))))
     out = tmp_path / "out"
     result = runner.invoke(
         main, ["invert", "--coeffs-file", str(path), "--out", str(out)]
@@ -941,7 +912,7 @@ def test_defaults_live_on_the_options(runner, tmp_path):
         assert document["eps"] == 1e-10
         assert document["side"] == "anticausal"
 
-        result = runner.invoke(main, ["simulate", "--coeffs", "1,0.5"], env={"SHIFTOP_SEED": None})
+        result = runner.invoke(main, ["simulate", "--coeffs", "1,0.5"])
         assert result.exit_code == 0, result.output
         metadata = read_json(out / "metadata.json")
         assert metadata["t_len"] == 10_000

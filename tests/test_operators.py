@@ -13,7 +13,6 @@ from shiftop.cli import main
 from shiftop.invertibility import Verdict, classify_roots
 from shiftop.operators import (
     OperatorKind,
-    build_bilateral,
     build_unilateral,
     compression_norm,
     isometry_dims,
@@ -23,7 +22,7 @@ from shiftop.operators import (
 )
 from shiftop.wiener import ONE, WienerElement
 
-from oracles import SzegoVector, build_toeplitz, dump_matrix, rayleigh_quotient
+from oracles import SzegoVector, build_bilateral, build_toeplitz, dump_matrix, rayleigh_quotient
 
 
 def random_causal(rng, max_len=8, max_offset=2):
@@ -53,7 +52,7 @@ def test_unilateral_matrix_example():
 
 
 def test_unilateral_monomial_past_dimension_is_zero():
-    op = build_unilateral(wiener.monomial(2), 2)
+    op = build_unilateral(WienerElement((1,), 2), 2)
     assert np.array_equal(op.matrix, np.zeros((2, 2), dtype=complex))
 
 
@@ -128,7 +127,7 @@ def test_bilateral_rejects_aliasing():
 
 
 def test_bilateral_shift_power_wraps_to_identity():
-    op = build_bilateral(wiener.monomial(4), 4)
+    op = build_bilateral(WienerElement((1,), 4), 4)
     assert np.array_equal(op.matrix, np.eye(4, dtype=complex))
 
 
@@ -230,8 +229,8 @@ def test_compression_norm_matches_dense_svd():
 def test_compression_norm_exact_cases_and_errors():
     assert compression_norm(wiener.ZERO, 5) == 0.0
     for k in range(4):
-        assert compression_norm(wiener.monomial(k), 9) == 1.0
-    assert compression_norm(wiener.monomial(3), 3) == 0.0  # z**3 truncated away
+        assert compression_norm(WienerElement((1,), k), 9) == 1.0
+    assert compression_norm(WienerElement((1,), 3), 3) == 0.0  # z**3 truncated away
     for f, n in ((ONE, 0), (WienerElement((1,), offset=-1), 4)):
         with pytest.raises(ValueError) as expected:
             build_unilateral(f, n)
@@ -369,7 +368,7 @@ def test_rayleigh_quotient_bounded_by_norm():
 
 
 def test_isometry_sweep_pure_shift_has_no_gap():
-    rows = isometry_sweep(wiener.monomial(1), dims=(2, 4, 8))
+    rows = isometry_sweep(WienerElement((1,), 1), dims=(2, 4, 8))
     for row in rows:
         assert row.norm == 1.0
         assert abs(row.gap) <= 1e-12

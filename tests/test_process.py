@@ -16,7 +16,6 @@ from shiftop.invertibility import DEFAULT_ROOT_TOL, NotInvertibleError, Verdict,
 from shiftop.process import (
     divergence_demo,
     ergodic_mean_check,
-    formal_ar_coefficients,
     l1_filter_convergence,
     ma_autocovariance,
     reconstruct_innovations,
@@ -154,7 +153,7 @@ def test_formal_ar_coefficients_are_the_certified_inverse_prefix(draws, max_lag)
         roots += [cmath.rect(modulus, angle), cmath.rect(modulus, -angle)] if pair else [modulus]
     f = transfer_from_roots(roots)
     certified = invert_causal(f, 1 << 16, 1e-12)
-    b = formal_ar_coefficients(f, max_lag)
+    b = process._formal_ar_coefficients(f, max_lag)
     for n in range(1, min(max_lag + 1, certified.truncation_len)):
         assert b[n] == -certified.inverse.coeff(n).real
 
@@ -181,7 +180,7 @@ def test_reconstruction_ladder_matches_oracle_exactly(max_lag):
 
 @pytest.mark.parametrize("max_lag", (1, 3, 57, 200))
 def test_divergence_ladder_matches_oracle_exactly(max_lag):
-    b = formal_ar_coefficients(WINDOW, max_lag)
+    b = process._formal_ar_coefficients(WINDOW, max_lag)
     for t_len in _ladder_lengths(max_lag):
         rows = divergence_demo(WINDOW, max_lag, seed=12, t_len=t_len)
         assert rows == ar_ladder_oracle(simulate(WINDOW, 1.0, t_len, 12), b, max_lag), t_len
@@ -213,10 +212,10 @@ def test_pairwise_leaves_reproduce_numpy_sum(n):
 
 
 def test_formal_ar_coefficients_window():
-    b = formal_ar_coefficients(WINDOW, 5)
+    b = process._formal_ar_coefficients(WINDOW, 5)
     assert list(b) == [0.0, -2.0, -4.0, -8.0, -16.0, -32.0]
     with pytest.raises(ValueError):
-        formal_ar_coefficients(wiener.monomial(1), 3)
+        process._formal_ar_coefficients(WienerElement((1,), 1), 3)
 
 
 def test_divergence_ratio_tracks_inside_root():
@@ -241,12 +240,12 @@ def test_divergence_ladder_ends_at_last_finite_mse():
     assert [m for m, _ in rows] == list(range(len(rows)))
     assert 1 < len(rows) < 201
     assert all(math.isfinite(mse) for _, mse in rows)
-    report = process._formal_reconstruction(simulate(WienerElement((1, -100)), 1.0, 2000, 3), 200)
+    report = process.formal_reconstruction(simulate(WienerElement((1, -100)), 1.0, 2000, 3), 200)
     assert report.mse_per_cutoff == tuple(rows)
     assert report.lag_cutoff == rows[-1][0] == len(report.ar_coeffs)
     # a path whose residual overflows already at M = 0 has no ladder
     with pytest.raises(ValueError, match="M = 0"):
-        process._formal_reconstruction(simulate(WienerElement((1, 1e300)), 1.0, 100, 0), 5)
+        process.formal_reconstruction(simulate(WienerElement((1, 1e300)), 1.0, 100, 0), 5)
 
 
 def test_divergence_requires_inside_root():
@@ -631,17 +630,16 @@ def test_csv_cells_match_format_on_bit_patterns_property(seed, length, drawn):
     assert _csv_cells(values) == [format(v, ".17g") for v in values.tolist()]
 
 
-def _simulate_command(tmp_path, monkeypatch, *args):
+def _simulate_command(tmp_path, *args):
     """Run ``shiftop simulate --coeffs 1,0.5`` and return its output directory."""
-    monkeypatch.delenv("SHIFTOP_SEED", raising=False)
     out = tmp_path / "out"
     result = CliRunner().invoke(main, ["simulate", "--coeffs", "1,0.5", *args, "--out", str(out)])
     assert result.exit_code == 0, result.output
     return out
 
 
-def test_metadata_sidecar_contents(tmp_path, monkeypatch):
-    out = _simulate_command(tmp_path, monkeypatch, "--sigma", "0.5", "--T", "20", "--seed", "9")
+def test_metadata_sidecar_contents(tmp_path):
+    out = _simulate_command(tmp_path, "--sigma", "0.5", "--T", "20", "--seed", "9")
     meta = json.loads((out / "metadata.json").read_text())
     assert list(meta) == [
         "seed", "generator", "numpy_version", "sigma", "t_len", "warmup", "transfer",
@@ -653,10 +651,10 @@ def test_metadata_sidecar_contents(tmp_path, monkeypatch):
     assert meta["sigma"] == 0.5
     assert meta["t_len"] == 20
     assert meta["warmup"] == 2
-    assert wiener.from_json_dict(meta["transfer"]) == MA1
+    assert meta["transfer"] == wiener.to_json_dict(MA1)
 
 
-def test_tabular_csv_headers(tmp_path, monkeypatch):
-    out = _simulate_command(tmp_path, monkeypatch, "--T", "400", "--max-lag", "3")
+def test_tabular_csv_headers(tmp_path):
+    out = _simulate_command(tmp_path, "--T", "400", "--max-lag", "3")
     assert (out / "reconstruction.csv").read_text().splitlines()[0] == "M,mse"
     assert (out / "ergodicity.csv").read_text().splitlines()[0] == "T,abs_mean,predicted_std"
