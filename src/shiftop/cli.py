@@ -20,7 +20,9 @@ Exit codes: 0 success, 2 invalid input, 3 borderline symbol (a root on the
 circle within ``--tol``), 4 truncation tail not certified, 5 numerical
 failure (a linear algebra routine, such as the eigenvalue solver behind the
 root classification, failed on valid input, or a scaling overflowed, as for
-a root of subnormal modulus).  No file is written on a nonzero exit.
+a root of subnormal modulus).  No file is written on a nonzero exit.  The
+commands raise their failures; ``_exits``, the wrapper every command runs
+in, is the one place that maps them to exit codes.
 """
 
 from __future__ import annotations
@@ -53,46 +55,42 @@ EXIT_TAIL_NOT_CERTIFIED = 4
 EXIT_NUMERICAL_FAILURE = 5
 
 
-class InputError(ValueError):
-    """Invalid command input; maps to exit code 2."""
-
-
 def _parse_inline_coeffs(text: str) -> WienerElement:
     parts = [p.strip() for p in text.split(",")]
     if not parts or any(p == "" for p in parts):
-        raise InputError("--coeffs: expected comma-separated numbers")
+        raise ValueError("--coeffs: expected comma-separated numbers")
     values = []
     for i, p in enumerate(parts):
         try:
             value = float(p)
         except ValueError:
-            raise InputError(f"--coeffs: field {i} ({p!r}) is not a number") from None
+            raise ValueError(f"--coeffs: field {i} ({p!r}) is not a number") from None
         if not math.isfinite(value):
-            raise InputError(f"--coeffs: field {i} ({p!r}) is not finite")
+            raise ValueError(f"--coeffs: field {i} ({p!r}) is not finite")
         values.append(value)
     return WienerElement(values)
 
 
 def _resolve_symbol(coeffs: str | None, coeffs_file: str | None) -> WienerElement:
     if (coeffs is None) == (coeffs_file is None):
-        raise InputError("provide exactly one of --coeffs or --coeffs-file")
+        raise ValueError("provide exactly one of --coeffs or --coeffs-file")
     if coeffs is not None:
         return _parse_inline_coeffs(coeffs)
     try:
         return wiener.load_coefficients(coeffs_file)
     except OSError as exc:
-        raise InputError(f"--coeffs-file: {exc}") from None
+        raise ValueError(f"--coeffs-file: {exc}") from None
     except ValueError as exc:
-        raise InputError(f"--coeffs-file {coeffs_file}: {exc}") from None
+        raise ValueError(f"--coeffs-file {coeffs_file}: {exc}") from None
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
         dims = tuple(int(p.strip()) for p in text.split(","))
     except ValueError:
-        raise InputError(f"--dims: expected comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--dims: expected comma-separated integers, got {text!r}") from None
     if not dims:
-        raise InputError("--dims: at least one dimension required")
+        raise ValueError("--dims: at least one dimension required")
     return dims
 
 
@@ -102,20 +100,6 @@ def _eps_option(ctx, param, value: float) -> float:
         return invertibility._checked_eps(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
-
-
-def _error_exit(exc: ValueError | FloatingPointError) -> int:
-    """Report ``exc`` and return its exit code.
-
-    numpy's ``LinAlgError`` subclasses ``ValueError`` but means a numerical
-    routine failed on valid input, so it exits 5, not 2; so does a
-    ``FloatingPointError``, an overflow that a scaling raises on valid input.
-    """
-    if isinstance(exc, (np.linalg.LinAlgError, FloatingPointError)):
-        click.echo(f"numerical failure: {exc}", err=True)
-        return EXIT_NUMERICAL_FAILURE
-    click.echo(f"error: {exc}", err=True)
-    return EXIT_INPUT_ERROR
 
 
 @contextlib.contextmanager
@@ -307,17 +291,17 @@ def cmd_analyze(
     f: WienerElement, dims: tuple[int, ...], grid_size: int, tol: float, eps: float, out: Path
 ) -> int:
     """Root classification, norms, isometry sweep, and asymmetry report."""
-    try:
-        dims = operators.isometry_dims(dims)
-        classification = invertibility.classify_roots(f, tol)
-        l1 = wiener.l1_norm(f)
-        if math.isinf(l1):
-            raise ValueError("coefficients too large: their l1 norm overflows")
-        sup = wiener.sup_norm(f, grid_size)
-        asym = invertibility.asymmetry_report(f, dims, classification)
-        inversion = _inversion_block(f, classification, eps)
-    except (ValueError, FloatingPointError) as exc:
-        return _error_exit(exc)
+    dims = operators.isometry_dims(dims)
+    classification = invertibility.classify_roots(f, tol)
+    l1 = wiener.l1_norm(f)
+    if math.isinf(l1):
+        raise ValueError("coefficients too large: their l1 norm overflows")
+    sup = wiener.sup_norm(f, grid_size)
+    grid_error = wiener.sup_norm_grid_error(f, grid_size)
+    if math.isinf(grid_error):
+        raise ValueError("coefficients too large: the sup norm's grid error bound overflows")
+    asym = invertibility.asymmetry_report(f, dims, classification)
+    inversion = _inversion_block(f, classification, eps)
     # the isometry sweep's norms are the asymmetry rows' ||T_N(f)||
     sweep = operators.isometry_rows(dims, [r.norm_triangular for r in asym], sup)
     report = {
@@ -325,7 +309,7 @@ def cmd_analyze(
         "l1_norm": l1,
         "sup_norm": sup,
         "grid_size": grid_size,
-        "sup_norm_grid_error_bound": wiener.sup_norm_grid_error(f, grid_size),
+        "sup_norm_grid_error_bound": grid_error,
         "roots": {
             "values": np.asarray(classification.roots, dtype=complex),
             "inside": classification.inside,
@@ -386,10 +370,7 @@ def cmd_analyze(
 
 def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -> int:
     """Certified truncated inverse on the causal or anticausal side."""
-    try:
-        classification = invertibility.classify_roots(f, tol)
-    except (ValueError, FloatingPointError) as exc:
-        return _error_exit(exc)
+    classification = invertibility.classify_roots(f, tol)
     if classification.on_circle > 0:
         click.echo(
             "borderline symbol: a root lies on the unit circle within "
@@ -415,8 +396,6 @@ def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -
             err=True,
         )
         return EXIT_TAIL_NOT_CERTIFIED
-    except (ValueError, FloatingPointError) as exc:
-        return _error_exit(exc)
     document = {
         "offset": result.inverse.offset,
         "coeffs": result.inverse.to_array(),
@@ -446,23 +425,20 @@ def cmd_simulate(
     """Sample a path and report reconstruction (or divergence) and ergodicity."""
     # short paths cannot support the full requested ladder
     max_lag = min(int(max_lag), t_len - 1)
-    try:
-        # the check's paths are dropped before the exported sample is drawn, so
-        # no two long paths are held at once; every draw starts a fresh
-        # generator from its own seed, so the order moves no output byte
-        ergodic_rows = process.ergodic_mean_check(f, sigma, _ergodic_ladder(t_len), seed)
-        sample = process.simulate(f, sigma, t_len, seed)
-        classification = invertibility.classify_roots(f, tol)
-        verdict = classification.verdict
-        table_name = None
-        if verdict is not Verdict.BORDERLINE and max_lag >= 1:
-            report = process.formal_reconstruction(sample, max_lag)
-            # a diverging ladder ends at its last finite MSE
-            max_lag = report.lag_cutoff
-            invertible = verdict is Verdict.INVERTIBLE
-            table_name = "reconstruction.csv" if invertible else "divergence.csv"
-    except (ValueError, FloatingPointError) as exc:
-        return _error_exit(exc)
+    # the check's paths are dropped before the exported sample is drawn, so
+    # no two long paths are held at once; every draw starts a fresh
+    # generator from its own seed, so the order moves no output byte
+    ergodic_rows = process.ergodic_mean_check(f, sigma, _ergodic_ladder(t_len), seed)
+    sample = process.simulate(f, sigma, t_len, seed)
+    classification = invertibility.classify_roots(f, tol)
+    verdict = classification.verdict
+    table_name = None
+    if verdict is not Verdict.BORDERLINE and max_lag >= 1:
+        report = process.formal_reconstruction(sample, max_lag)
+        # a diverging ladder ends at its last finite MSE
+        max_lag = report.lag_cutoff
+        invertible = verdict is Verdict.INVERTIBLE
+        table_name = "reconstruction.csv" if invertible else "divergence.csv"
     files = ["sample.csv", "ergodicity.csv", "metadata.json"]
     if table_name is not None:
         files.insert(1, table_name)
@@ -514,13 +490,23 @@ def cmd_simulate(
 
 
 def _exits(command):
-    """Exit with the code ``command`` returns; an :class:`InputError` exits 2."""
+    """Exit with the code ``command`` returns, or with the code of its failure.
+
+    The one map from failures to exit codes: a ``ValueError`` is invalid
+    input and exits 2.  numpy's ``LinAlgError`` subclasses ``ValueError`` but
+    means a numerical routine failed on valid input, so it exits 5; so does a
+    ``FloatingPointError``, a scaling that overflows or underflows on valid
+    input.
+    """
 
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             code = command(*args, **kwargs)
-        except InputError as exc:
+        except (np.linalg.LinAlgError, FloatingPointError) as exc:
+            click.echo(f"numerical failure: {exc}", err=True)
+            code = EXIT_NUMERICAL_FAILURE
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             code = EXIT_INPUT_ERROR
         sys.exit(code)

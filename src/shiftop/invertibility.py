@@ -276,7 +276,8 @@ def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> Invers
         with np.errstate(over="ignore", invalid="ignore"):  # rejected below
             length, bound, g = 1, 0.0, 1.0 / a
     else:
-        rho = float(max(1.0 / np.abs(roots)))
+        with np.errstate(divide="ignore"):  # a root that underflowed to 0: rho = inf, uncertified
+            rho = float(max(1.0 / np.abs(roots)))
         length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), eps)
         g = _series_inverse_prefix(a, length)
     if not np.all(np.isfinite(g)):
@@ -530,11 +531,12 @@ def _triangular_inverse_norm(
     a = f.to_array()
     q = len(a) - 1
     # every scaling is by a power of two, so none of them rounds; a root so
-    # close to 0 that 1/rho or the band passes float max raises
+    # close to 0 that 1/rho or the band passes float max raises, as does a
+    # root that underflowed to 0
     t = math.frexp(abs(a[0]))[1]
     columns = np.arange(dim)
     band = np.empty((q + 1, dim), dtype=complex)
-    with np.errstate(over="raise", invalid="raise"):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
         e = np.rint(np.arange(dim) * math.log2(1.0 / rho)).astype(np.int64)
         for k in range(q + 1):
             shift = t + e[np.minimum(columns + k, dim - 1)] - e[columns]
@@ -547,7 +549,15 @@ def _triangular_inverse_norm(
     sigma, change, previous, stalled = 0.0, math.nan, math.nan, False
     for step in range(1, INVERSE_NORM_MAX_STEPS + 1):
         y = left * _solve_unilateral(band, right * x)
-        ritz = math.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1])
+        # y^H y underflows for a tiny ||M||, as when g = 1/f grows only every
+        # few indices: a power of two brings y to order one without rounding
+        peak = np.abs(y).max()
+        if peak == 0:  # for a root near 0 the scalings 2**-e_i may all underflow
+            raise FloatingPointError("underflow encountered in the inverse norm's scalings")
+        scale = math.frexp(peak)[1]
+        for part in (y.real, y.imag):
+            np.ldexp(part, -scale, out=part)
+        ritz = math.ldexp(math.sqrt(np.linalg.eigvalsh(y.conj().T @ y)[-1]), scale)
         change, previous, sigma = abs(ritz - sigma) / ritz, change, ritz
         # settled: the last change and the remainder change * r / (1 - r) it
         # extrapolates to, with r = change / previous, are both below the tol
@@ -590,7 +600,9 @@ def asymmetry_report(
     the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
     past float max.  ``a_0 = 0`` makes ``T_N(f)`` singular: infinite
     triangular norms, route ``"none"``.  A root of subnormal modulus, as for
-    ``1e-310 + z``, overflows the scalings: ``FloatingPointError``.  The
+    ``1e-310 + z``, overflows the scalings, and a root whose modulus
+    underflows to 0 has none: ``FloatingPointError``, as when every scaled
+    entry underflows.  The
     verdict of ``classification`` (by default, at ``DEFAULT_ROOT_TOL``)
     decides whether the banded inverse norm may answer.
     """

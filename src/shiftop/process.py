@@ -137,27 +137,19 @@ def simulate(f: WienerElement, sigma: float, t_len: int, seed: int) -> ProcessSa
 _LADDER_LEAF = 16384
 
 
-def _pairwise_leaves(n: int) -> list[int]:
-    """Lengths, in order, of the leaves numpy's pairwise sum of ``n`` values splits into.
+def _pairwise_sum(leaf, n: int, lo: int = 0):
+    """``leaf(start, size)`` of each leaf of rows ``lo .. lo + n``, added up numpy's pairwise tree.
 
     numpy halves a run of more than 128 values at ``n // 2`` rounded down to a
-    multiple of 8; the same split stops here at ``_LADDER_LEAF`` values.
+    multiple of 8; the same split stops here, at leaves of at most
+    ``_LADDER_LEAF`` rows, so leaf sums added up this tree equal ``np.sum``
+    over all the rows bit for bit.
     """
     if n <= _LADDER_LEAF:
-        return [n]
+        return leaf(lo, n)
     half = n // 2
     half -= half % 8
-    return _pairwise_leaves(half) + _pairwise_leaves(n - half)
-
-
-def _pairwise_total(leaf_sums, n: int):
-    """Add the leaf sums (an iterator, in leaf order) up the tree of :func:`_pairwise_leaves`."""
-    if n <= _LADDER_LEAF:
-        return next(leaf_sums)
-    half = n // 2
-    half -= half % 8
-    left = _pairwise_total(leaf_sums, half)
-    return left + _pairwise_total(leaf_sums, n - half)
+    return _pairwise_sum(leaf, half, lo) + _pairwise_sum(leaf, n - half, lo + half)
 
 
 def _ar_ladder_mse(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[tuple[int, float]]:
@@ -180,24 +172,24 @@ def _ar_ladder_mse(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[t
     path = sample.path
     target = sample.aligned_innovations[max_lag:]
     n = t_len - max_lag
-    leaves = _pairwise_leaves(n)
-    sums = np.empty((len(leaves), max_lag + 1))
-    eps_buf, term_buf, err_buf = (np.empty(max(leaves)) for _ in range(3))
-    lo = 0
+    eps_buf, term_buf, err_buf = (np.empty(min(n, _LADDER_LEAF)) for _ in range(3))
+
+    def leaf(lo: int, size: int) -> np.ndarray:
+        eps_hat, term, err = eps_buf[:size], term_buf[:size], err_buf[:size]
+        hi = lo + size
+        sums = np.empty(max_lag + 1)
+        np.copyto(eps_hat, path[max_lag + lo : max_lag + hi])
+        for m in range(max_lag + 1):
+            if m:
+                np.multiply(b[m], path[max_lag - m + lo : max_lag - m + hi], out=term)
+                np.subtract(eps_hat, term, out=eps_hat)
+            np.subtract(eps_hat, target[lo:hi], out=err)
+            np.square(err, out=err)
+            sums[m] = err.sum()
+        return sums
+
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite MSEs are cut below
-        for leaf, size in enumerate(leaves):
-            eps_hat, term, err = eps_buf[:size], term_buf[:size], err_buf[:size]
-            hi = lo + size
-            np.copyto(eps_hat, path[max_lag + lo : max_lag + hi])
-            for m in range(max_lag + 1):
-                if m:
-                    np.multiply(b[m], path[max_lag - m + lo : max_lag - m + hi], out=term)
-                    np.subtract(eps_hat, term, out=eps_hat)
-                np.subtract(eps_hat, target[lo:hi], out=err)
-                np.square(err, out=err)
-                sums[leaf, m] = err.sum()
-            lo = hi
-        mse = _pairwise_total(iter(sums), n) / n
+        mse = _pairwise_sum(leaf, n) / n
     overflowed = np.flatnonzero(~np.isfinite(mse))
     stop = int(overflowed[0]) if len(overflowed) else max_lag + 1
     if stop == 0:
@@ -380,9 +372,10 @@ def ergodic_mean_check(f: WienerElement, sigma: float, t_lens, seed: int) -> lis
     rows = []
     for i, t_len in enumerate(t_lens):
         sample = simulate(f, sigma, t_len, int(seed) + i)
-        rows.append(
-            ErgodicRow(t_len, float(abs(sample.path.mean())), scale / math.sqrt(t_len))
-        )
+        # a path past float max has an infinite or undefined (nan) mean
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = float(abs(sample.path.mean()))
+        rows.append(ErgodicRow(t_len, mean, scale / math.sqrt(t_len)))
     return rows
 
 

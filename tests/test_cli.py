@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from shiftop import cli, invertibility, operators, process, wiener
@@ -831,6 +831,67 @@ def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert out.exists() == (code == 0)
         assert ("numerical failure: overflow encountered in" in result.output) == (code == 5)
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        # pi/G sum |n a_n| overflows although the l1 norm does not
+        (["analyze", "--coeffs", "0,0,1e308"], 2,
+         "error: coefficients too large: the sup norm's grid error bound overflows"),
+        # 1/f(z**4) grows only every 4th index: the inverse norm's Gram product underflowed
+        (["analyze", "--coeffs", "1,0,0,0,1e300", "--dims", "16"], 0, "verdict NonInvertible"),
+        # the modulus of the root -1e-400 underflows to 0
+        (["analyze", "--coeffs", "1e-200,1e200", "--dims", "4"], 5,
+         "numerical failure: divide by zero encountered"),
+        # every scaling 2**-e_i of the inverse norm underflows
+        (["analyze", "--coeffs", "8.664258317309054e-105,-9.922838419073684e-253,"
+          "-9.672571769355457e-74,-4.2936626132012483e-259", "--dims", "8"], 5,
+         "numerical failure: underflow encountered in the inverse norm's scalings"),
+        # a root of the reversed polynomial underflows to 0: no tail bound
+        (["invert", "--coeffs", "1e-30,1e200,0,1e220"], 4, "tail not certified: bound inf"),
+        # the sample path passes float max, and so do its ergodic means
+        (["simulate", "--coeffs", "1,0,-3e307", "--T", "50"], 2,
+         "error: the reconstruction MSE lies past float max already at M = 0"),
+    ],
+    ids=["grid-error-overflow", "gram-underflow", "zero-root", "scalings-underflow",
+         "reversed-zero-root", "path-overflow"],
+)
+def test_extreme_magnitudes_exit_with_a_documented_code(runner, tmp_path, argv, code, message):
+    # a documented exit code, with no traceback and no RuntimeWarning
+    out = tmp_path / "out"
+    result = runner.invoke(main, [*argv, "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert message in result.output
+    assert out.exists() == (code == 0)
+
+
+_EXTREME = st.one_of(
+    st.just(0.0),
+    st.builds(lambda sign, exponent: sign * 10.0**exponent,
+              st.sampled_from((1.0, -1.0)), st.floats(-320, 308)),
+)
+
+
+@seed(20)
+@settings(max_examples=300, deadline=None)
+@given(coeffs=st.lists(_EXTREME, min_size=1, max_size=7))
+def test_no_traceback_on_any_finite_input_property(coeffs):
+    # every command answers with a documented exit code, never a traceback or
+    # a RuntimeWarning (an error under this suite's settings), and writes
+    # nothing on a nonzero exit
+    commands = [
+        ["analyze", "--coeffs", ",".join(map(repr, coeffs)), "--dims", "8,16", "--grid", "64"],
+        ["invert", "--coeffs", ",".join(map(repr, coeffs))],
+        ["simulate", "--coeffs", ",".join(map(repr, [1.0, *coeffs[1:]])), "--T", "50"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        for argv in commands:
+            out = Path(tmp) / argv[0]
+            result = CliRunner().invoke(main, [*argv, "--out", str(out)])
+            assert isinstance(result.exception, (SystemExit, type(None))), (argv, result.exception)
+            assert result.exit_code in (0, 2, 3, 4, 5), (argv, result.output)
+            assert out.exists() == (result.exit_code == 0), (argv, result.output)
 
 
 def test_simulate_rerun_is_byte_identical(runner, tmp_path):

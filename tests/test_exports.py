@@ -74,7 +74,9 @@ def test_removed_names_stay_gone():
     assert not hasattr(shiftop.WienerElement, "min_index")
     assert not hasattr(shiftop.WideFloat, "log10")
     cli = importlib.import_module("shiftop.cli")
-    assert [n for n in ("SEED_ENV_VAR", "INVERT_MAX_LEN") if hasattr(cli, n)] == []
+    assert [n for n in ("SEED_ENV_VAR", "INVERT_MAX_LEN", "InputError") if hasattr(cli, n)] == []
+    process = importlib.import_module("shiftop.process")
+    assert [n for n in ("_pairwise_leaves", "_pairwise_total") if hasattr(process, n)] == []
 
 
 _NOQA_F401 = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[\w\s,]*\bF401\b")

@@ -566,6 +566,20 @@ def test_inverse_norm_scales_with_the_symbol(scale):
         assert math.isclose(ratio, 1 / abs(scale), rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("c", [0.5, 3.0, 1e200, 1e300])
+def test_inverse_norm_of_a_direct_sum(c):
+    # T_16(f(z**4)) is permutation-similar to four copies of T_4(f), so the
+    # two inverse norms agree.  For c = 1e300, 1/f(z**4) grows only every 4th
+    # index, and ||M|| is about 2**-746: y^H y would underflow to 0
+    spread = asymmetry_report(WienerElement((1, 0, 0, 0, c)), (16,))[0].wide_norm_triangular_inverse
+    block = asymmetry_report(WienerElement((1, c)), (4,))[0].wide_norm_triangular_inverse
+    ratio = math.ldexp(spread.mantissa / block.mantissa, spread.exponent - block.exponent)
+    assert abs(ratio - 1) <= 4 * 2.0**-52
+    if c == 1e300:  # against an mpmath reference
+        reference = decimal.Decimal("1.0000000000000001575e900")
+        assert abs(decimal.Decimal(spread.text()) / reference - 1) < 1e-15
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     roots=st.lists(

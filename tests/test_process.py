@@ -200,12 +200,17 @@ def test_pairwise_leaves_reproduce_numpy_sum(n):
     # magnitudes over twelve decades, so a different summation order shows
     rng = np.random.default_rng(n)
     x = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
-    leaves = process._pairwise_leaves(n)
-    assert sum(leaves) == n
-    assert max(leaves) <= LEAF
-    stops = np.cumsum(leaves)
-    leaf_sums = (x[stop - size : stop].sum() for size, stop in zip(leaves, stops))
-    assert process._pairwise_total(leaf_sums, n) == np.sum(x)
+    leaves = []
+
+    def leaf(lo, size):
+        leaves.append((lo, size))
+        return x[lo : lo + size].sum()
+
+    assert process._pairwise_sum(leaf, n) == np.sum(x)
+    # the leaves tile the rows in order, none longer than a ladder leaf
+    assert [lo for lo, _ in leaves] == [0, *np.cumsum([size for _, size in leaves])[:-1]]
+    assert sum(size for _, size in leaves) == n
+    assert max(size for _, size in leaves) <= LEAF
 
 
 # -- divergence of the formal inverse ---------------------------------------------
