@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import decimal
 import enum
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -204,14 +205,21 @@ def _series_inverse_prefix(coeffs: np.ndarray, length: int) -> np.ndarray:
     return _solve_unilateral(np.repeat(a[:, None], length, axis=1), rhs)[:, 0]
 
 
+# Lengths in the first block of _certified_length; each next block is twice as long.
+_TAIL_BLOCK = 64
+
+
 def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: float) -> tuple[int, float]:
     """Smallest ``L <= max_len`` whose geometric tail bound is ``<= eps``, and that bound.
 
     Coefficientwise, ``|g_n| <= (1/|a_0|) C(n+q-1, q-1) rho**n`` (majorize
     every factor ``(1 - z/r_i)**-1`` by the ``rho``-geometric series), so the
     tail from ``L`` on is at most the leading term times ``(1 - rho)**-q``.
-    Its base-2 log is formed for every ``L`` at once, so nothing overflows on
-    the way; a bound past float max reads ``inf``.
+    Its base-2 log is formed elementwise, so nothing overflows on the way; a
+    bound past float max reads ``inf``.  The lengths are scanned in blocks of
+    doubling size from ``_TAIL_BLOCK`` on, up to the first block that
+    certifies, so the cost follows the answer rather than ``max_len``; each
+    bound is the same float whichever block it falls in.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -219,14 +227,18 @@ def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: floa
         raise TailNotCertifiedError(
             f"no geometric tail bound: the largest 1/|root| is {rho:.17g}", math.inf, max_len
         )
-    lengths = np.arange(1, max_len + 1)
-    log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
+    log2_rho = math.log2(rho)
     log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
-    with np.errstate(over="ignore"):  # a bound past float max reads inf
-        bounds = np.exp2(log2_binomial + lengths * math.log2(rho) - log2_scale)
-    certified = np.flatnonzero(bounds <= eps)
-    if len(certified):
-        return int(certified[0]) + 1, float(bounds[certified[0]])
+    start, size = 1, _TAIL_BLOCK
+    while start <= max_len:
+        lengths = np.arange(start, min(start + size, max_len + 1))
+        log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
+        with np.errstate(over="ignore"):  # a bound past float max reads inf
+            bounds = np.exp2(log2_binomial + lengths * log2_rho - log2_scale)
+        certified = np.flatnonzero(bounds <= eps)
+        if len(certified):
+            return int(lengths[certified[0]]), float(bounds[certified[0]])
+        start, size = start + size, 2 * size
     raise TailNotCertifiedError(
         f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
         float(bounds[-1]),
@@ -466,6 +478,35 @@ def _banded_inverse_norm(
     return float(np.sqrt(np.vdot(v, v).real / np.vdot(tv, tv).real))
 
 
+@functools.lru_cache(maxsize=32)
+def _qr_workspace(rows: int, cols: int) -> tuple[int, int]:
+    """LAPACK's optimal workspace sizes of ``zgeqrf`` and ``zungqr`` for the shape."""
+    from scipy.linalg import lapack
+
+    block = np.zeros((rows, cols), dtype=complex)
+    geqrf = lapack.zgeqrf(block, lwork=-1)[2][0].real
+    ungqr = lapack.zungqr(block, np.zeros(min(rows, cols), dtype=complex), lwork=-1)[1][0].real
+    return int(geqrf), int(ungqr)
+
+
+def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
+    """The ``Q`` of the reduced QR factorization of a tall complex ``block``.
+
+    LAPACK's ``zgeqrf`` and ``zungqr`` with their optimal workspace, the
+    calls ``np.linalg.qr`` makes, without its wrapper's checks and copies.
+    """
+    from scipy.linalg import lapack
+
+    geqrf_work, ungqr_work = _qr_workspace(*block.shape)
+    qr, tau, _, info = lapack.zgeqrf(block, lwork=geqrf_work)
+    if info != 0:
+        raise ValueError(f"QR factorization failed (LAPACK zgeqrf info {info})")
+    q, _, info = lapack.zungqr(qr, tau, lwork=ungqr_work, overwrite_a=1)
+    if info != 0:
+        raise ValueError(f"QR factorization failed (LAPACK zungqr info {info})")
+    return q
+
+
 def _power_stalled(step: int, change: float, previous: float, banded_error: float) -> bool:
     """Whether the banded route answers for an unsettled power iteration at ``step``.
 
@@ -544,7 +585,7 @@ def _triangular_inverse_norm(
             band.imag[k] = np.ldexp(a[k].imag, -shift)
     left, right = np.ldexp(1.0, e - e[-1])[:, None], np.ldexp(1.0, -e)[:, None]
     start = np.random.default_rng(0).standard_normal((dim, q + 1))
-    x = np.linalg.qr(start.astype(complex))[0]
+    x = _orthonormal_basis(start.astype(complex))
     unit = sys.float_info.epsilon / 2
     sigma, change, previous, stalled = 0.0, math.nan, math.nan, False
     for step in range(1, INVERSE_NORM_MAX_STEPS + 1):
@@ -572,7 +613,7 @@ def _triangular_inverse_norm(
             cond = math.ldexp(norm, int(e[-1]) - t) * sigma
             if stalled := _power_stalled(step, change, previous, unit * cond * cond / 2):
                 break
-        x = np.linalg.qr(right * _solve_unilateral(band, left * y, "C"))[0]
+        x = _orthonormal_basis(right * _solve_unilateral(band, left * y, "C"))
     if stalled and (banded := _banded_inverse_norm(f, dim, band[:, 0], start[:, 0])):
         mantissa, exponent = math.frexp(banded)
         return WideFloat(mantissa, exponent - t), "banded", step, change

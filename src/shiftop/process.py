@@ -107,6 +107,7 @@ def simulate(f: WienerElement, sigma: float, t_len: int, seed: int) -> ProcessSa
     Requires the Wold normalization ``a_0 = 1`` and a causal, real transfer.
     The warm-up innovations (one per transfer coefficient) are drawn from the
     same stream, never zero-padded, so the path is stationary from ``t = 0``.
+    A path that passes float max (``inf`` or ``nan``) raises ``ValueError``.
     """
     t_len = int(t_len)
     if t_len < 1:
@@ -128,6 +129,9 @@ def simulate(f: WienerElement, sigma: float, t_len: int, seed: int) -> ProcessSa
     warmup = f.support_length
     eps = sigma * _rng(seed).standard_normal(warmup + t_len)
     path = np.convolve(eps, a)[warmup : warmup + t_len]
+    if not np.isfinite(path).all():
+        t = int(np.flatnonzero(~np.isfinite(path))[0])
+        raise ValueError(f"the sample path lies past float max at t = {t}")
     return ProcessSample(path, eps, sigma, f, seed)
 
 
@@ -362,6 +366,8 @@ def ergodic_mean_check(f: WienerElement, sigma: float, t_lens, seed: int) -> lis
     One simulation per requested length, seeded ``seed, seed+1, ...`` (Philox
     keys, so the streams are independent).  An overdifferenced transfer with
     ``f(1) = 0`` telescopes and its means shrink faster than ``1/sqrt(T)``.
+    A mean past float max, as when the sum of a finite path overflows,
+    raises ``ValueError``.
     """
     t_lens = [int(t) for t in t_lens]
     if not t_lens:
@@ -372,9 +378,11 @@ def ergodic_mean_check(f: WienerElement, sigma: float, t_lens, seed: int) -> lis
     rows = []
     for i, t_len in enumerate(t_lens):
         sample = simulate(f, sigma, t_len, int(seed) + i)
-        # a path past float max has an infinite or undefined (nan) mean
+        # the pairwise sum of a finite path may overflow to inf, or from both signs to nan
         with np.errstate(over="ignore", invalid="ignore"):
             mean = float(abs(sample.path.mean()))
+        if not math.isfinite(mean):
+            raise ValueError(f"the sample mean over T = {t_len} lies past float max")
         rows.append(ErgodicRow(t_len, mean, scale / math.sqrt(t_len)))
     return rows
 

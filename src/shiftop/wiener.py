@@ -13,6 +13,7 @@ All values are immutable and safe to share across threads.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -187,7 +188,8 @@ def _evaluate_unchecked(f: WienerElement, z):
     """Two-sided Horner evaluation; ``z`` may be a scalar or an ndarray.
 
     The negative-index block is accumulated in powers of ``1/z`` and the
-    nonnegative block in powers of ``z``, each by Horner's scheme.
+    nonnegative block in powers of ``z``, each by Horner's scheme, in place:
+    one accumulator per block, whatever the degree.
     """
     z = np.asarray(z, dtype=complex)
     total = np.zeros(z.shape, dtype=complex)
@@ -199,13 +201,15 @@ def _evaluate_unchecked(f: WienerElement, z):
         m = min(hi, -1)
         acc = np.zeros(z.shape, dtype=complex)
         for c in f.coeffs[: m - lo + 1]:
-            acc = acc * u + c
+            np.multiply(acc, u, out=acc)
+            acc += c
         total = total + acc * u ** (-m)
     if hi >= 0:
         p0 = max(lo, 0)
         acc = np.zeros(z.shape, dtype=complex)
         for c in reversed(f.coeffs[p0 - lo :]):
-            acc = acc * z + c
+            np.multiply(acc, z, out=acc)
+            acc += c
         if p0 > 0:
             acc = acc * z**p0
         total = total + acc
@@ -226,25 +230,37 @@ def evaluate(f: WienerElement, z: complex) -> complex:
     return complex(_evaluate_unchecked(f, z))
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_roots(grid_size: int) -> np.ndarray:
+    """The read-only grid ``exp(2 pi i k / grid_size)``, k ascending, kept per size."""
+    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    z.flags.writeable = False
+    return z
+
+
 def evaluate_on_grid(f: WienerElement, grid_size: int) -> np.ndarray:
     """Values of ``f`` at the points ``exp(2 pi i k / grid_size)``, k ascending.
 
     With ``grid_size`` a power of two the grids nest exactly (the angle
     ``2 pi k / G`` is computed identically at ``G`` and ``2G``), which makes
-    grid refinement monotone without tolerance.
+    grid refinement monotone without tolerance.  The grid itself is computed
+    once per size and kept read-only (the last few sizes); the values are a
+    new array on every call.
     """
     grid_size = int(grid_size)
     if grid_size < 1:
         raise ValueError("grid_size must be positive")
-    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
-    return _evaluate_unchecked(f, z)
+    return _evaluate_unchecked(f, _unit_roots(grid_size))
 
 
 def sup_norm(f: WienerElement, grid_size: int) -> float:
     """Max of ``|f|`` over a uniform grid of ``grid_size`` circle points.
 
-    This is a lower bound for the true sup norm; the gap is at most
-    ``sup_norm_grid_error(f, grid_size)`` by the derivative bound
+    This is the computed grid maximum, a lower bound for the true sup norm
+    only up to the rounding of the grid points and of Horner's scheme: for
+    ``z**30`` at 65536 points it reads ``1.0000000000000038``, above the sup
+    ``1``.  Past that rounding, the true sup exceeds it by at most
+    ``sup_norm_grid_error(f, grid_size)``, by the derivative bound
     ``sum |n a_n|``.  Requires ``grid_size >= 16``.
     """
     grid_size = int(grid_size)

@@ -17,7 +17,12 @@ the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
 ``dense_inverse_norm`` takes ``||T_N(f)^{-1}||`` from a dense SVD of the
 Toeplitz matrix of that series.  ``certified_length_oracle`` walks the
 geometric tail bound one length at a time, the reference for the log-space
-``shiftop.invertibility._certified_length``.  ``ar_ladder_oracle`` scores the
+``shiftop.invertibility._certified_length``, and ``certified_length_full_scan``
+forms the same log-space bound at every length up to ``max_len`` at once, the
+reference that the block scan must match bit for bit.
+``evaluate_on_grid_oracle`` recomputes the unit-root grid and runs an
+allocating Horner loop, the reference for the cached grid and in-place Horner
+of ``shiftop.wiener.evaluate_on_grid``.  ``ar_ladder_oracle`` scores the
 reconstruction MSE ladder with one ``np.mean`` over the whole path per cutoff,
 the reference that the leaf-blocked ``shiftop.process._ar_ladder_mse`` must
 match bit for bit.  ``sample_csv_oracle`` returns ``str``; the encoder returns
@@ -40,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from shiftop import wiener
-from shiftop.invertibility import WideFloat
+from shiftop.invertibility import TailNotCertifiedError, WideFloat
 from shiftop.operators import OperatorKind, TruncatedOperator, _freeze, build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
@@ -162,6 +167,52 @@ def certified_length_oracle(rho: float, q: int, a0_abs: float, max_len: int, eps
                 return length, bound
             term *= rho * (length + q) / (length + 1)
     return None
+
+
+def certified_length_full_scan(rho: float, q: int, a0_abs: float, max_len: int, eps: float):
+    """``_certified_length`` with the log-space bound formed at every length at once."""
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
+    if rho >= 1.0:
+        raise TailNotCertifiedError(
+            f"no geometric tail bound: the largest 1/|root| is {rho:.17g}", math.inf, max_len
+        )
+    lengths = np.arange(1, max_len + 1)
+    log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
+    log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
+    with np.errstate(over="ignore"):
+        bounds = np.exp2(log2_binomial + lengths * math.log2(rho) - log2_scale)
+    certified = np.flatnonzero(bounds <= eps)
+    if len(certified):
+        return int(certified[0]) + 1, float(bounds[certified[0]])
+    raise TailNotCertifiedError(
+        f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
+        float(bounds[-1]),
+        max_len,
+    )
+
+
+def evaluate_on_grid_oracle(f: WienerElement, grid_size: int) -> np.ndarray:
+    """Values of ``f`` at ``exp(2 pi i k / grid_size)``: a fresh grid, a new array per Horner step."""
+    z = np.exp(2j * np.pi * np.arange(grid_size) / grid_size)
+    total = np.zeros(z.shape, dtype=complex)
+    lo, hi = f.offset, f.degree
+    if lo < 0:
+        u = 1.0 / z
+        m = min(hi, -1)
+        acc = np.zeros(z.shape, dtype=complex)
+        for c in f.coeffs[: m - lo + 1]:
+            acc = acc * u + c
+        total = total + acc * u ** (-m)
+    if hi >= 0:
+        p0 = max(lo, 0)
+        acc = np.zeros(z.shape, dtype=complex)
+        for c in reversed(f.coeffs[p0 - lo :]):
+            acc = acc * z + c
+        if p0 > 0:
+            acc = acc * z**p0
+        total = total + acc
+    return total
 
 
 def ar_ladder_oracle(sample: ProcessSample, b: np.ndarray, max_lag: int) -> list[tuple[int, float]]:

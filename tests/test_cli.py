@@ -850,12 +850,15 @@ def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
          "numerical failure: underflow encountered in the inverse norm's scalings"),
         # a root of the reversed polynomial underflows to 0: no tail bound
         (["invert", "--coeffs", "1e-30,1e200,0,1e220"], 4, "tail not certified: bound inf"),
-        # the sample path passes float max, and so do its ergodic means
+        # the sample path stays finite, but the sum behind its ergodic mean overflows
         (["simulate", "--coeffs", "1,0,-3e307", "--T", "50"], 2,
-         "error: the reconstruction MSE lies past float max already at M = 0"),
+         "error: the sample mean over T = 12 lies past float max"),
+        # the sample path passes float max, with no reconstruction ladder to notice
+        (["simulate", "--coeffs", "1,-8e307,-8e307", "--T", "50", "--max-lag", "0"], 2,
+         "error: the sample path lies past float max at t = 1"),
     ],
     ids=["grid-error-overflow", "gram-underflow", "zero-root", "scalings-underflow",
-         "reversed-zero-root", "path-overflow"],
+         "reversed-zero-root", "path-overflow", "path-overflow-no-ladder"],
 )
 def test_extreme_magnitudes_exit_with_a_documented_code(runner, tmp_path, argv, code, message):
     # a documented exit code, with no traceback and no RuntimeWarning

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import solve_triangular
@@ -26,7 +26,13 @@ from shiftop.invertibility import (
 )
 from shiftop.wiener import ONE, ZERO, WienerElement
 
-from oracles import certified_length_oracle, dense_inverse_norm, series_inverse_oracle, wide_log10
+from oracles import (
+    certified_length_full_scan,
+    certified_length_oracle,
+    dense_inverse_norm,
+    series_inverse_oracle,
+    wide_log10,
+)
 
 
 def random_polynomial(rng, degree, offset=0):
@@ -230,6 +236,69 @@ def test_certified_length_matches_stepwise_oracle():
         length, bound = inv._certified_length(rho, q, a0, 4096, eps)
         assert length == expected[0]
         assert bound == pytest.approx(expected[1], rel=1e-12)
+
+
+def _tail_outcome(scan, *args):
+    """``(length, bound bits)``, or the error's message and achieved bound."""
+    try:
+        length, bound = scan(*args)
+    except TailNotCertifiedError as exc:
+        return str(exc), exc.achieved_bound, exc.max_len
+    return length, bound.hex()
+
+
+def _tail_block_edges(limit: int) -> list[int]:
+    """The last length of each block of the block scan, up to ``limit``."""
+    edges, end, size = [], 0, inv._TAIL_BLOCK
+    while end + size <= limit:
+        end, size = end + size, 2 * size
+        edges.append(end)
+    return edges
+
+
+_TAIL_EDGES = _tail_block_edges(inv.DEFAULT_MAX_LEN)
+
+
+@seed(21)
+@settings(max_examples=200, deadline=None)
+@given(
+    rho=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1.0, 17.0).map(lambda k: 1.0 - 10.0**-k),  # near 1, and 1 itself
+    ),
+    q=st.one_of(st.just(1), st.integers(1, 40)),
+    a0=st.floats(-300.0, 300.0).map(lambda k: 10.0**k),
+    eps=st.floats(-300.0, 0.0).map(lambda k: 10.0**k),
+    max_len=st.one_of(
+        st.integers(1, inv.DEFAULT_MAX_LEN),
+        st.sampled_from(_TAIL_EDGES).flatmap(lambda e: st.sampled_from((e - 1, e, e + 1))),
+    ),
+)
+@example(rho=1 - 1e-16, q=30, a0=1.0, eps=1e-10, max_len=1000)  # every bound is inf
+@example(rho=0.5, q=1, a0=1.0, eps=2.0**-64, max_len=_TAIL_EDGES[0])
+def test_block_tail_length_matches_full_scan_property(rho, q, a0, eps, max_len):
+    # the same length and bound bits, or the same error, whichever block the answer falls in
+    args = (rho, q, a0, max_len, eps)
+    assert _tail_outcome(inv._certified_length, *args) == _tail_outcome(
+        certified_length_full_scan, *args
+    )
+
+
+@pytest.mark.parametrize("q", [1, 3, 30])
+def test_block_tail_length_at_each_block_edge(q):
+    # eps is the bound at a length next to a block edge, and max_len sits at
+    # the edge and next to it; for q = 1 the bound falls with the length, so
+    # the answer lands on that length
+    rho, a0 = 0.9995, 1.0
+    for edge in _TAIL_EDGES:
+        for length in (edge - 1, edge, edge + 1):
+            eps = _tail_outcome(certified_length_full_scan, rho, q, a0, length, 0.0)[1]
+            for max_len in (edge - 1, edge, edge + 1, inv.DEFAULT_MAX_LEN):
+                args = (rho, q, a0, max_len, eps)
+                outcome = _tail_outcome(inv._certified_length, *args)
+                assert outcome == _tail_outcome(certified_length_full_scan, *args)
+                if q == 1 and max_len >= length:
+                    assert outcome == (length, eps.hex())
 
 
 @pytest.mark.parametrize("q", [50, 200])
@@ -444,6 +513,19 @@ def test_asymmetry_csv_layout(tmp_path):
 
 
 # -- the triangular inverse norm without a matrix ------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (8, 2), (5, 5), (1024, 8), (300, 41)])
+def test_orthonormal_basis_is_the_q_of_a_qr(shape):
+    # Q^H Q = I, and A = Q R with R = Q^H A upper triangular
+    rng = np.random.default_rng(shape[0] + shape[1])
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    q = inv._orthonormal_basis(a)
+    assert q.shape == shape
+    assert_allclose(q.conj().T @ q, np.eye(shape[1]), atol=1e-13)
+    r = q.conj().T @ a
+    assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-13 * np.abs(r).max()
+    assert_allclose(q @ np.triu(r), a, atol=1e-13 * np.abs(a).max())
 
 
 def polar(radius, angle):

@@ -81,6 +81,16 @@ def test_simulate_validation():
         simulate(ONE, 1.0, 10, -1)
 
 
+def test_simulate_rejects_a_path_past_float_max():
+    # eps_t - 8e307 (eps_{t-1} + eps_{t-2}) overflows at the first index
+    # where two consecutive innovations sum to more than 2.25 in modulus
+    f = WienerElement((1, -8e307, -8e307))
+    with pytest.raises(ValueError, match=r"^the sample path lies past float max at t = \d+$"):
+        simulate(f, 1.0, 50, 0)
+    # sigma = 0 draws the zero path, which is finite
+    assert not simulate(f, 0.0, 50, 0).path.any()
+
+
 def test_sample_moments_match_theory():
     sample = simulate(MA1, 1.0, 100_000, 5)
     x = sample.path
@@ -334,6 +344,9 @@ def test_ergodic_validation():
         ergodic_mean_check(MA1, 1.0, (), 0)
     with pytest.raises(ValueError):
         ergodic_mean_check(MA1, 1.0, (100, 100), 0)
+    # a finite path whose sum passes float max has no finite mean
+    with pytest.raises(ValueError, match="^the sample mean over T = 12 lies past float max$"):
+        ergodic_mean_check(WienerElement((1, 0, -3e307)), 1.0, (1, 3, 12, 50), 0)
 
 
 # -- autocovariances and Wold recovery --------------------------------------------------

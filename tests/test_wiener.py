@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from oracles import canonical_form_oracle
+from oracles import canonical_form_oracle, evaluate_on_grid_oracle
 from shiftop import cli, wiener
 from shiftop.wiener import ONE, ZERO, WienerElement
 
@@ -233,6 +233,57 @@ def test_sup_norm_grid_error_bound():
         bound = wiener.sup_norm_grid_error(f, 64)
         fine = wiener.sup_norm(f, 1 << 14)
         assert fine <= coarse + bound + 1e-12
+
+
+def test_sup_norm_of_a_monomial_reads_its_grid_maximum():
+    # |z**30| = 1 on the circle, but the computed grid points and Horner's
+    # scheme round: the grid maximum sits above the true sup
+    assert 1.0 < wiener.sup_norm(WienerElement((1.0,), 30), 65536) < 1.0 + 1e-14
+
+
+# -- grid evaluation ---------------------------------------------------------------
+
+
+def test_evaluate_on_grid_matches_fresh_grid_and_allocating_horner():
+    # the cached grid and the in-place Horner steps round as the fresh grid
+    # and a new array per step do, bit for bit
+    rng = np.random.default_rng(16)
+    for _ in range(50):
+        f = random_element(rng)
+        for grid in (16, 48, 1024):
+            assert np.array_equal(
+                wiener.evaluate_on_grid(f, grid), evaluate_on_grid_oracle(f, grid)
+            )
+
+
+def test_evaluate_on_grid_returns_a_new_array():
+    f = WienerElement((1, -2, 0.5), -1)
+    first = wiener.evaluate_on_grid(f, 64)
+    expected = first.copy()
+    first[:] = 7.0
+    assert np.array_equal(wiener.evaluate_on_grid(f, 64), expected)
+    # a constant's values are still a new array, not the grid
+    assert not np.shares_memory(wiener.evaluate_on_grid(ONE, 64), wiener._unit_roots(64))
+
+
+def test_cached_grid_is_read_only():
+    grid = wiener._unit_roots(64)
+    assert grid is wiener._unit_roots(64)
+    assert not grid.flags.writeable
+    with pytest.raises(ValueError):
+        grid[0] = 0.0
+
+
+@pytest.mark.parametrize("fine_first", [False, True])
+def test_grids_nest_bit_for_bit_whichever_size_is_cached_first(fine_first):
+    rng = np.random.default_rng(17)
+    elements = [random_element(rng) for _ in range(10)]
+    for grid in (16, 96, 4096):
+        wiener._unit_roots.cache_clear()
+        sizes = (2 * grid, grid) if fine_first else (grid, 2 * grid)
+        for f in elements:
+            values = {size: wiener.evaluate_on_grid(f, size) for size in sizes}
+            assert np.array_equal(values[2 * grid][::2], values[grid])
 
 
 # -- JSON coefficient format --------------------------------------------------
