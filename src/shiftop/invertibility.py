@@ -13,11 +13,13 @@ circulant (bilateral) inverse norm stays pinned at
 
 from __future__ import annotations
 
+import contextlib
 import decimal
 import enum
 import functools
 import math
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -216,10 +218,13 @@ def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: floa
     every factor ``(1 - z/r_i)**-1`` by the ``rho``-geometric series), so the
     tail from ``L`` on is at most the leading term times ``(1 - rho)**-q``.
     Its base-2 log is formed elementwise, so nothing overflows on the way; a
-    bound past float max reads ``inf``.  The lengths are scanned in blocks of
-    doubling size from ``_TAIL_BLOCK`` on, up to the first block that
-    certifies, so the cost follows the answer rather than ``max_len``; each
-    bound is the same float whichever block it falls in.
+    bound past float max reads ``inf``.  The log of the bound is concave in
+    ``L``, so its minimum over ``[1, max_len]`` lies at an end: when neither
+    end certifies, no length does, and that is decided from the two ends
+    alone.  Otherwise the lengths are scanned in blocks of doubling size
+    from ``_TAIL_BLOCK`` on, up to the first block that certifies, so the
+    cost follows the answer rather than ``max_len``; each bound is the same
+    float whichever block it falls in.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -229,19 +234,25 @@ def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: floa
         )
     log2_rho = math.log2(rho)
     log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
-    start, size = 1, _TAIL_BLOCK
-    while start <= max_len:
-        lengths = np.arange(start, min(start + size, max_len + 1))
+
+    def bounds_at(lengths: np.ndarray) -> np.ndarray:
         log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
         with np.errstate(over="ignore"):  # a bound past float max reads inf
-            bounds = np.exp2(log2_binomial + lengths * log2_rho - log2_scale)
+            return np.exp2(log2_binomial + lengths * log2_rho - log2_scale)
+
+    first, last = bounds_at(np.array([1, max_len]))
+    start, size = 1, _TAIL_BLOCK
+    # neither end certifies: no length does, and no block is scanned
+    while (first <= eps or last <= eps) and start <= max_len:
+        lengths = np.arange(start, min(start + size, max_len + 1))
+        bounds = bounds_at(lengths)
         certified = np.flatnonzero(bounds <= eps)
         if len(certified):
             return int(lengths[certified[0]]), float(bounds[certified[0]])
         start, size = start + size, 2 * size
     raise TailNotCertifiedError(
-        f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
-        float(bounds[-1]),
+        f"tail bound {last:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
+        float(last),
         max_len,
     )
 
@@ -489,11 +500,63 @@ def _qr_workspace(rows: int, cols: int) -> tuple[int, int]:
     return int(geqrf), int(ungqr)
 
 
+@functools.cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that scipy's LAPACK
+    calls, or None where it has none (another BLAS, another platform).
+
+    scipy's wheels bundle ``libscipy_openblas``, a dependency of its LAPACK
+    extension, so the symbols resolve through that extension's handle.
+    """
+    import ctypes
+
+    try:
+        from scipy.linalg import _flapack
+
+        library = ctypes.CDLL(_flapack.__file__)
+        get, set_ = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# The thread count is process-wide: one scope at a time sets and restores it,
+# so scopes in concurrent threads take turns.
+_BLAS_THREADS_LOCK = threading.RLock()
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with scipy's OpenBLAS on one thread, and restore the
+    previous count on exit, also when the body raises; a no-op where scipy's
+    LAPACK calls no OpenBLAS it can find.  Also a decorator, as any
+    :func:`contextlib.contextmanager` is."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    with _BLAS_THREADS_LOCK:
+        previous = get()
+        set_(1)
+        try:
+            yield
+        finally:
+            set_(previous)
+
+
 def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
     """The ``Q`` of the reduced QR factorization of a tall complex ``block``.
 
     LAPACK's ``zgeqrf`` and ``zungqr`` with their optimal workspace, the
     calls ``np.linalg.qr`` makes, without its wrapper's checks and copies.
+    In the power loop of :func:`_triangular_inverse_norm` they run on one
+    OpenBLAS thread: from about 640 rows OpenBLAS splits the narrow
+    N x (q + 1) block over a second thread, which makes the QR slower, not
+    faster, and then spins on in wait for the next call, doubling the CPU
+    time of the loop.  ``Q``'s bits do not depend on the thread count.
     """
     from scipy.linalg import lapack
 
@@ -531,6 +594,7 @@ def _power_stalled(step: int, change: float, previous: float, banded_error: floa
     return projected > max(INVERSE_NORM_TOL, banded_error)
 
 
+@_one_blas_thread()
 def _triangular_inverse_norm(
     f: WienerElement, dim: int, rho: float, invertible: bool, norm: float
 ) -> tuple[WideFloat, str, int, float]:
@@ -568,6 +632,10 @@ def _triangular_inverse_norm(
     at the cap it keeps the estimate whose error is the smaller.  Otherwise,
     and where the Gram matrix is singular in float arithmetic, the unsettled
     power estimate stands, and ``change`` shows it.
+
+    The whole call runs with scipy's OpenBLAS on one thread
+    (:func:`_one_blas_thread`), for the power loop's QR
+    (:func:`_orthonormal_basis`); the result does not depend on the count.
     """
     a = f.to_array()
     q = len(a) - 1

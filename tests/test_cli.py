@@ -268,6 +268,35 @@ def test_commands_do_not_import_scipy_signal(tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at N = 1024 the inverse norm's QR block is 1024 x 8, a shape OpenBLAS
+    # would split over threads; the outputs are the same bytes either way
+    roots = [0.8, cmath.rect(0.75, 0.9), cmath.rect(0.75, -0.9), 1.5, -1.3,
+             cmath.rect(2.0, 2.0), cmath.rect(2.0, -2.0)]
+    coeffs = np.array([1.0 + 0j])
+    for r in roots:
+        coeffs = np.convolve(coeffs, [1, -1 / r])
+    argv = ["analyze", "--coeffs", ",".join(repr(float(c)) for c in coeffs.real), "--dims", "1024"]
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    outputs = []
+    for threads in (None, "1"):
+        out = tmp_path / f"threads-{threads}"
+        if threads:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        done = subprocess.run(
+            [sys.executable, "-m", "shiftop.cli", *argv, "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300, check=False,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(
+            [(out / name).read_bytes() for name in ("report.json", "isometry.csv", "asymmetry.csv")]
+        )
+    assert outputs[0] == outputs[1]
+
+
 def test_analyze_rejects_unordered_dims(runner, tmp_path):
     result = runner.invoke(
         main, ["analyze", "--coeffs", "1,-2", "--dims", "8,4", "--out", str(tmp_path)]

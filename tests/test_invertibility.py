@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy
 from click.testing import CliRunner
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
@@ -276,6 +277,15 @@ _TAIL_EDGES = _tail_block_edges(inv.DEFAULT_MAX_LEN)
 )
 @example(rho=1 - 1e-16, q=30, a0=1.0, eps=1e-10, max_len=1000)  # every bound is inf
 @example(rho=0.5, q=1, a0=1.0, eps=2.0**-64, max_len=_TAIL_EDGES[0])
+# the shortest caps: one length, or the answer at either end
+@example(rho=0.5, q=1, a0=1.0, eps=1e-10, max_len=1)
+@example(rho=0.5, q=1, a0=1.0, eps=0.5, max_len=2)
+@example(rho=0.5, q=1, a0=1.0, eps=0.25, max_len=3)
+@example(rho=0.5, q=3, a0=1.0, eps=1e-10, max_len=3)
+@example(rho=0.5, q=2, a0=1e3, eps=1e-2, max_len=3)
+# rho one ulp below 1: (1 - rho)**-q = 2**(53 q)
+@example(rho=1 - 2.0**-53, q=1, a0=1.0, eps=1e-10, max_len=inv.DEFAULT_MAX_LEN)
+@example(rho=1 - 2.0**-53, q=1, a0=1e300, eps=1e-280, max_len=inv.DEFAULT_MAX_LEN)
 def test_block_tail_length_matches_full_scan_property(rho, q, a0, eps, max_len):
     # the same length and bound bits, or the same error, whichever block the answer falls in
     args = (rho, q, a0, max_len, eps)
@@ -526,6 +536,44 @@ def test_orthonormal_basis_is_the_q_of_a_qr(shape):
     r = q.conj().T @ a
     assert np.abs(np.tril(r, -1)).max(initial=0.0) <= 1e-13 * np.abs(r).max()
     assert_allclose(q @ np.triu(r), a, atol=1e-13 * np.abs(a).max())
+
+
+_SCIPY_LAPACK = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+
+
+@pytest.mark.skipif(_SCIPY_LAPACK != "scipy-openblas", reason="scipy's LAPACK is not its bundled OpenBLAS")
+def test_one_blas_thread_scope_restores_the_count(monkeypatch):
+    # one thread inside, and the count as it was after a normal exit, an
+    # exception, a nested scope and a whole asymmetry report
+    get, set_ = inv._openblas_threads()
+    before = get()
+    seen, orthonormal_basis = [], inv._orthonormal_basis
+    monkeypatch.setattr(
+        inv, "_orthonormal_basis", lambda block: seen.append(get()) or orthonormal_basis(block)
+    )
+    try:
+        set_(2)
+        with inv._one_blas_thread():
+            assert get() == 1
+            with inv._one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == 2
+        with pytest.raises(ZeroDivisionError), inv._one_blas_thread():
+            1 / 0
+        assert get() == 2
+        asymmetry_report(WienerElement((1, -2, 0.5)), (8, 1024))
+        assert get() == 2
+    finally:
+        set_(before)
+    assert seen and set(seen) == {1}
+
+
+def test_one_blas_thread_scope_without_openblas_is_a_no_op(monkeypatch):
+    monkeypatch.setattr(inv, "_openblas_threads", lambda: None)
+    with pytest.raises(ZeroDivisionError), inv._one_blas_thread():
+        1 / 0
+    assert asymmetry_report(WienerElement((1, -2)), (8,))[0].inverse_route == "power"
 
 
 def polar(radius, angle):
