@@ -300,7 +300,7 @@ def cmd_analyze(
     grid_error = wiener.sup_norm_grid_error(f, grid_size)
     if math.isinf(grid_error):
         raise ValueError("coefficients too large: the sup norm's grid error bound overflows")
-    asym = invertibility.asymmetry_report(f, dims, classification)
+    asym = invertibility.asymmetry_report(f, dims, classification, sup=sup)
     inversion = _inversion_block(f, classification, eps)
     # the isometry sweep's norms are the asymmetry rows' ||T_N(f)||
     sweep = operators.isometry_rows(dims, [r.norm_triangular for r in asym], sup)

@@ -20,6 +20,10 @@ geometric tail bound one length at a time, the reference for the log-space
 ``shiftop.invertibility._certified_length``, and ``certified_length_full_scan``
 forms the same log-space bound at every length up to ``max_len`` at once, the
 reference that the block scan must match bit for bit.
+``gram_eigenvalue_oracle`` bisects from the plain Gershgorin bracket, the
+reference for the estimated start of ``shiftop.operators._gram_eigenvalue``;
+``ANALYZE_ROOT_CLASSES`` holds one symbol of each root class the benchmark's
+analyze workload plants.
 ``evaluate_on_grid_oracle`` recomputes the unit-root grid and runs an
 allocating Horner loop, the reference for the cached grid and in-place Horner
 of ``shiftop.wiener.evaluate_on_grid``.  ``ar_ladder_oracle`` scores the
@@ -37,6 +41,7 @@ against the symbol inside the disc: Rayleigh quotients against truncated
 reproducing kernels converge to ``f(w)``.
 """
 
+import cmath
 import json
 import math
 import re
@@ -148,6 +153,52 @@ def dense_inverse_norm(f: WienerElement, dim: int) -> float:
     if not np.any(matrix.imag):
         matrix = matrix.real
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
+
+
+def gram_eigenvalue_oracle(band: np.ndarray, lowest: bool = False) -> tuple[float, float, float]:
+    """``shiftop.operators._gram_eigenvalue`` without an estimate: plain
+    bisection by inertia from ``[G_00, Gershgorin bound]`` (``[0, min_j G_jj]``
+    with ``lowest``), the reference the estimated start must match bit for bit."""
+    from scipy.linalg import lapack
+
+    q, diagonal = band.shape[0] - 1, band[0].real
+    largest = float(diagonal.max())  # G_00
+    unit = np.finfo(float).eps / 2
+    margin = 8 * (q + 1) * (q + 3) * unit / (1 - (q + 3) * unit) * (2 * q + 1) * largest
+    gershgorin = 2 * float(np.abs(band).max(axis=1).sum()) - largest
+    sign = -1.0 if lowest else 1.0
+    shifted = np.asfortranarray(-sign * band)
+    lo, hi = (0.0, float(diagonal.min())) if lowest else (largest, gershgorin)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        work = shifted.copy(order="F")
+        work[0] += sign * mid
+        definite = lapack.zpbtrf(work, lower=1, overwrite_ab=1)[1] == 0
+        lo, hi = (mid, hi) if definite == lowest else (lo, mid)
+    return lo, hi, margin
+
+
+def _from_roots(roots) -> WienerElement:
+    coeffs = np.array([1.0 + 0j])
+    for r in roots:
+        coeffs = np.convolve(coeffs, [1, -1 / r])
+    return WienerElement(tuple(complex(c) for c in coeffs))
+
+
+# The six root classes of the benchmark's analyze workload, at fixed radii and
+# angles inside each class's range.  on_circle's coefficients are exact, and
+# its real symbol peaks on a conjugate pair of points, so its top two Gram
+# eigenvalues lie a relative 1e-7 apart at N = 512.
+ANALYZE_ROOT_CLASSES = {
+    "outside_d3": _from_roots([cmath.rect(2.1, 0.7), cmath.rect(1.6, 2.9), cmath.rect(2.4, -1.8)]),
+    "inside_half": _from_roots([cmath.rect(0.51, 1.3)]),
+    "straddle_d2": _from_roots([cmath.rect(0.7, -2.2), cmath.rect(1.4, 0.6)]),
+    "mixed_d7": _from_roots(
+        [cmath.rect(0.75, 0.4), cmath.rect(0.85, 2.6), cmath.rect(0.8, -1.5), cmath.rect(1.3, 1.1),
+         cmath.rect(2.2, -2.8), cmath.rect(1.9, -0.3), cmath.rect(1.5, 3.0)]
+    ),
+    "on_circle": WienerElement((1.0, -0.6875, -0.3125)),
+    "inside_third": _from_roots([cmath.rect(0.33, -2.0)]),
+}
 
 
 def certified_length_oracle(rho: float, q: int, a0_abs: float, max_len: int, eps: float):

@@ -25,6 +25,8 @@ from shiftop.cli import main
 from shiftop.invertibility import WideFloat, classify_roots
 from shiftop.wiener import WienerElement
 
+from oracles import ANALYZE_ROOT_CLASSES
+
 
 @pytest.fixture()
 def runner():
@@ -120,8 +122,8 @@ def test_analyze_gates_the_banded_inverse_norm_by_its_own_tol(runner, tmp_path, 
     monkeypatch.setattr(invertibility, "INVERSE_NORM_MAX_STEPS", 1)
     report, seen = invertibility.asymmetry_report, []
 
-    def recording(f, dims, classification):
-        rows = report(f, dims, classification)
+    def recording(f, dims, classification, **kwargs):
+        rows = report(f, dims, classification, **kwargs)
         seen.append((classification.tol, [row.inverse_route for row in rows]))
         return rows
 
@@ -270,31 +272,66 @@ def test_commands_do_not_import_scipy_signal(tmp_path):
 
 def test_analyze_bytes_do_not_depend_on_blas_threads(tmp_path):
     # at N = 1024 the inverse norm's QR block is 1024 x 8, a shape OpenBLAS
-    # would split over threads; the outputs are the same bytes either way
+    # would split over threads, and the companion matrix of a degree-128
+    # symbol is one numpy's OpenBLAS would; the outputs are the same bytes
+    # either way
     roots = [0.8, cmath.rect(0.75, 0.9), cmath.rect(0.75, -0.9), 1.5, -1.3,
              cmath.rect(2.0, 2.0), cmath.rect(2.0, -2.0)]
     coeffs = np.array([1.0 + 0j])
     for r in roots:
         coeffs = np.convolve(coeffs, [1, -1 / r])
-    argv = ["analyze", "--coeffs", ",".join(repr(float(c)) for c in coeffs.real), "--dims", "1024"]
+    runs = [
+        ["--coeffs", ",".join(repr(float(c)) for c in coeffs.real), "--dims", "1024"],
+        ["--coeffs", ",".join(["1"] + ["0"] * 127 + ["-0.5"]), "--dims", "256"],
+    ]
     env = dict(os.environ)
     src = str(Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_NUM_THREADS", None)
-    outputs = []
-    for threads in (None, "1"):
-        out = tmp_path / f"threads-{threads}"
-        if threads:
-            env["OPENBLAS_NUM_THREADS"] = threads
-        done = subprocess.run(
-            [sys.executable, "-m", "shiftop.cli", *argv, "--out", str(out)],
-            capture_output=True, text=True, env=env, timeout=300, check=False,
-        )
-        assert done.returncode == 0, done.stderr
-        outputs.append(
-            [(out / name).read_bytes() for name in ("report.json", "isometry.csv", "asymmetry.csv")]
-        )
-    assert outputs[0] == outputs[1]
+    for index, argv in enumerate(runs):
+        outputs = []
+        for threads in (None, "1"):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            out = tmp_path / f"run-{index}-threads-{threads}"
+            done = subprocess.run(
+                [sys.executable, "-m", "shiftop.cli", "analyze", *argv, "--out", str(out)],
+                capture_output=True, text=True, env=env, timeout=300, check=False,
+            )
+            assert done.returncode == 0, done.stderr
+            names = ("report.json", "isometry.csv", "asymmetry.csv")
+            outputs.append([(out / name).read_bytes() for name in names])
+        assert outputs[0] == outputs[1]
+
+
+def test_analyze_bytes_do_not_depend_on_the_norm_estimate(runner, tmp_path, monkeypatch):
+    # each compression norm after the first starts its bisection from a
+    # predicted eigenvalue; with the estimate dropped, every output byte stays
+    dims = "8,32,128,512,1024"
+    gram_eigenvalue, estimates, outputs = operators._gram_eigenvalue, [], {}
+    for estimated in (True, False):
+
+        def bracket(band, lowest=False, estimate=None, estimated=estimated):
+            estimates.append(estimate)
+            return gram_eigenvalue(band, lowest, estimate if estimated else None)
+
+        monkeypatch.setattr(operators, "_gram_eigenvalue", bracket)
+        for name, f in ANALYZE_ROOT_CLASSES.items():
+            path = tmp_path / f"{name}.json"
+            coeffs = [[c.real, c.imag] for c in f.coeffs]
+            path.write_text(json.dumps({"offset": 0, "coeffs": coeffs}))
+            out = tmp_path / f"{name}-{estimated}"
+            result = runner.invoke(
+                main, ["analyze", "--coeffs-file", str(path), "--dims", dims, "--out", str(out)]
+            )
+            assert result.exit_code == 0, result.output
+            outputs[name, estimated] = [
+                (out / file).read_bytes() for file in ("report.json", "isometry.csv", "asymmetry.csv")
+            ]
+    # four estimated norms per symbol and pass: every dim after the first
+    assert sum(estimate is not None for estimate in estimates) == 2 * 4 * len(ANALYZE_ROOT_CLASSES)
+    for name in ANALYZE_ROOT_CLASSES:
+        assert outputs[name, True] == outputs[name, False], name
 
 
 def test_analyze_rejects_unordered_dims(runner, tmp_path):

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack, solve_triangular
 
 from shiftop import invertibility as inv
 from shiftop import operators, wiener
@@ -28,6 +28,7 @@ from shiftop.invertibility import (
 from shiftop.wiener import ONE, ZERO, WienerElement
 
 from oracles import (
+    ANALYZE_ROOT_CLASSES,
     certified_length_full_scan,
     certified_length_oracle,
     dense_inverse_norm,
@@ -539,38 +540,79 @@ def test_orthonormal_basis_is_the_q_of_a_qr(shape):
 
 
 _SCIPY_LAPACK = scipy.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
+_NUMPY_LAPACK = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]["name"]
 
 
-@pytest.mark.skipif(_SCIPY_LAPACK != "scipy-openblas", reason="scipy's LAPACK is not its bundled OpenBLAS")
+@pytest.mark.skipif(
+    _SCIPY_LAPACK != "scipy-openblas" or _NUMPY_LAPACK != "scipy-openblas",
+    reason="scipy's or numpy's LAPACK is not its bundled OpenBLAS",
+)
 def test_one_blas_thread_scope_restores_the_count(monkeypatch):
-    # one thread inside, and the count as it was after a normal exit, an
-    # exception, a nested scope and a whole asymmetry report
-    get, set_ = inv._openblas_threads()
-    before = get()
-    seen, orthonormal_basis = [], inv._orthonormal_basis
+    # one thread inside for scipy's OpenBLAS and numpy's, and each count as
+    # it was after a normal exit, an exception, a nested scope and a whole
+    # asymmetry report; every power-loop QR and companion eigensolve saw 1
+    threads = inv._openblas_threads()
+    assert len(threads) == 2
+
+    def counts():
+        return [get() for get, _ in threads]
+
+    before = counts()
+    seen, orthonormal_basis, eigvals = [], inv._orthonormal_basis, np.linalg.eigvals
     monkeypatch.setattr(
-        inv, "_orthonormal_basis", lambda block: seen.append(get()) or orthonormal_basis(block)
+        inv, "_orthonormal_basis", lambda block: seen.append(counts()) or orthonormal_basis(block)
     )
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: seen.append(counts()) or eigvals(a))
     try:
-        set_(2)
+        for _, set_ in threads:
+            set_(2)
         with inv._one_blas_thread():
-            assert get() == 1
+            assert counts() == [1, 1]
             with inv._one_blas_thread():
-                assert get() == 1
-            assert get() == 1
-        assert get() == 2
+                assert counts() == [1, 1]
+            assert counts() == [1, 1]
+        assert counts() == [2, 2]
         with pytest.raises(ZeroDivisionError), inv._one_blas_thread():
             1 / 0
-        assert get() == 2
+        assert counts() == [2, 2]
         asymmetry_report(WienerElement((1, -2, 0.5)), (8, 1024))
-        assert get() == 2
+        assert counts() == [2, 2]
+        classify_roots(WienerElement((1,) + (0,) * 127 + (-0.5,)))
+        assert counts() == [2, 2]
     finally:
-        set_(before)
-    assert seen and set(seen) == {1}
+        for (_, set_), count in zip(threads, before):
+            set_(count)
+    assert len(seen) > 2 and all(count == [1, 1] for count in seen)
+
+
+def test_top_eigenvalue_brackets_take_at_most_20_factorizations(monkeypatch):
+    # with the grid sup norm, each compression norm after the first starts
+    # from a predicted eigenvalue: at N >= 512 its bracket takes at most 20
+    # banded Cholesky factorizations, against about 52 from the plain bracket
+    calls, zpbtrf = [], lapack.zpbtrf
+    monkeypatch.setattr(
+        lapack, "zpbtrf", lambda *args, **kwargs: calls.append(1) or zpbtrf(*args, **kwargs)
+    )
+    brackets, gram_eigenvalue = [], operators._gram_eigenvalue
+
+    def counted(band, lowest=False, estimate=None):
+        before = len(calls)
+        result = gram_eigenvalue(band, lowest, estimate)
+        if not lowest:
+            brackets.append((band.shape[1], len(calls) - before))
+        return result
+
+    monkeypatch.setattr(operators, "_gram_eigenvalue", counted)
+    dims = (8, 32, 128, 512, 1024)
+    for name, f in ANALYZE_ROOT_CLASSES.items():
+        brackets.clear()
+        asymmetry_report(f, dims, sup=wiener.sup_norm(f, 1 << 16))
+        assert [dim for dim, _ in brackets] == list(dims), name
+        assert all(count <= 20 for dim, count in brackets if dim >= 512), (name, brackets)
 
 
 def test_one_blas_thread_scope_without_openblas_is_a_no_op(monkeypatch):
-    monkeypatch.setattr(inv, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(inv, "_openblas_threads", lambda: ())
     with pytest.raises(ZeroDivisionError), inv._one_blas_thread():
         1 / 0
     assert asymmetry_report(WienerElement((1, -2)), (8,))[0].inverse_route == "power"

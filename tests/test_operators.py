@@ -1,12 +1,14 @@
+import contextlib
 import math
 import re
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import lapack
 
 from shiftop import operators, wiener
 from shiftop.cli import main
@@ -22,7 +24,14 @@ from shiftop.operators import (
 )
 from shiftop.wiener import ONE, WienerElement
 
-from oracles import SzegoVector, build_bilateral, build_toeplitz, dump_matrix, rayleigh_quotient
+from oracles import (
+    SzegoVector,
+    build_bilateral,
+    build_toeplitz,
+    dump_matrix,
+    gram_eigenvalue_oracle,
+    rayleigh_quotient,
+)
 
 
 def random_causal(rng, max_len=8, max_offset=2):
@@ -305,6 +314,85 @@ def test_gram_eigenvalue_certificate_property(coeffs, dim):
     if invertible:
         lo, hi, margin = operators._gram_eigenvalue(band, lowest=True)
         assert lo <= hi and lo - margin - slack <= singular[-1] ** 2 <= hi + margin + slack
+
+
+@contextlib.contextmanager
+def counting_factorizations():
+    """Count the banded Cholesky factorizations (LAPACK ``zpbtrf``) made
+    through ``scipy.linalg.lapack`` inside the block."""
+    calls, original = [], lapack.zpbtrf
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    lapack.zpbtrf = counted
+    try:
+        yield calls
+    finally:
+        lapack.zpbtrf = original
+
+
+def gram_estimates(draw, band, oracle):
+    """An eigenvalue estimate for ``band``: a bracket end, one ulp off one, a
+    relative error from 1e-14 to 1e2 either way, or a value outside every
+    bracket."""
+    largest = float(band[0].real.max())
+    gershgorin = 2 * float(np.abs(band).max(axis=1).sum()) - largest
+    lo, hi, _ = oracle
+    kind = draw(st.sampled_from(["end", "relative", "outside"]))
+    if kind == "end":
+        end = draw(st.sampled_from([largest, gershgorin, lo, hi]))
+        return end + draw(st.sampled_from([-1, 0, 1])) * math.ulp(end)
+    if kind == "relative":
+        sign = draw(st.sampled_from([-1.0, 1.0]))
+        return hi * (1 + sign * 10.0 ** draw(st.floats(-14, 2)))
+    return draw(st.sampled_from([largest / 2, 2 * gershgorin, 0.0, math.inf, math.nan, None]))
+
+
+@seed(23)
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(
+        st.tuples(st.just([1.0]), st.integers(0, 8)),  # monomials: lambda_max = G_00
+        st.tuples(
+            st.lists(st.floats(-1, 1) | st.complex_numbers(max_magnitude=1), min_size=1, max_size=9),
+            st.integers(0, 2),
+        ),
+    ),
+    st.floats(-200, 200),
+    st.integers(1, 1100),
+    st.data(),
+)
+# with data=None the estimate lies a relative 1e-9 above the eigenvalue
+@example(symbol=([0.5, -1.0, 0.25], 0), exponent=0.0, dim=1, data=None)
+@example(symbol=([1.0], 3), exponent=150.0, dim=1100, data=None)
+def test_estimated_bracket_matches_plain_bisection_property(symbol, exponent, dim, data):
+    # from any estimate, the bisection ends on the plain bracket's adjacent
+    # floats, bit for bit, with at most six more factorizations
+    mantissas, offset = symbol
+    f = WienerElement(tuple(complex(m) * 10.0**exponent for m in mantissas), offset)
+    band, scale = operators._gram_band(f, dim)
+    assume(scale > 0)
+    with counting_factorizations() as calls:
+        oracle = gram_eigenvalue_oracle(band)
+    plain = len(calls)
+    estimate = oracle[1] * (1 + 1e-9) if data is None else gram_estimates(data.draw, band, oracle)
+    with counting_factorizations() as calls:
+        got = operators._gram_eigenvalue(band, estimate=estimate)
+    assert got == oracle
+    assert len(calls) <= plain + 6
+
+
+@pytest.mark.parametrize("dim", [2, 64, 700])
+@pytest.mark.parametrize("relative", [-1e-6, 1e-9, 1e-3])
+def test_estimated_lowest_bracket_matches_plain_bisection(dim, relative):
+    # the smallest eigenvalue, which the banded inverse norm reads, takes an
+    # estimate the same way; roots 3 and -2.5 keep it well above zero
+    band = operators._gram_band(WienerElement((1, 1 / 2.5 - 1 / 3, -1 / 7.5)), dim)[0]
+    oracle = gram_eigenvalue_oracle(band, lowest=True)
+    estimate = oracle[0] * (1 + relative)
+    assert operators._gram_eigenvalue(band, lowest=True, estimate=estimate) == oracle
 
 
 # -- Szego vectors and Rayleigh quotients --------------------------------------
