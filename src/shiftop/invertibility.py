@@ -132,14 +132,7 @@ class InversionResult:
 
 
 def _companion_eigenvalues(coeffs: tuple[complex, ...]) -> np.ndarray:
-    """Eigenvalues of the companion matrix of ``sum_k c_k z**k`` (ascending c).
-
-    The eigensolve runs with numpy's OpenBLAS on one thread
-    (:func:`_one_blas_thread`): from a degree between 100 and 128 it would
-    split the eigensolve over a second thread, which then spins on after the
-    call, so the CPU time doubles and the wall time does not fall.  The
-    roots' bits do not depend on the count.
-    """
+    """Eigenvalues of the companion matrix of ``sum_k c_k z**k`` (ascending c)."""
     c = np.array(coeffs, dtype=complex)
     q = len(c) - 1
     if q == 0:
@@ -151,8 +144,7 @@ def _companion_eigenvalues(coeffs: tuple[complex, ...]) -> np.ndarray:
     with np.errstate(over="raise", invalid="raise"):
         c.real, c.imag = np.ldexp(c.real, shift), np.ldexp(c.imag, shift)
         companion[0, :] = -(c[:-1][::-1] / c[-1])
-    with _one_blas_thread():
-        return np.linalg.eigvals(companion)
+    return np.linalg.eigvals(companion)
 
 
 def classify_roots(f: WienerElement, tol: float = DEFAULT_ROOT_TOL) -> RootClassification:
@@ -509,31 +501,25 @@ def _qr_workspace(rows: int, cols: int) -> tuple[int, int]:
 
 
 @functools.cache
-def _openblas_threads() -> tuple:
-    """The thread-count getter and setter of each OpenBLAS the package calls:
-    the one behind scipy's LAPACK and the one behind ``numpy.linalg``, as
-    found; empty where there is none (another BLAS, another platform).
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that scipy's LAPACK
+    calls, or None where it has none (another BLAS, another platform).
 
-    The wheels bundle their own copies, ``libscipy_openblas`` (32-bit
-    integers) for scipy and ``libscipy_openblas64_`` for numpy, each a
-    dependency of the extension that calls it, so the symbols resolve
-    through that extension's handle.
+    scipy's wheels bundle ``libscipy_openblas``, a dependency of its LAPACK
+    extension, so the symbols resolve through that extension's handle.
     """
     import ctypes
-    import importlib
 
-    found = []
-    for module, suffix in (("scipy.linalg._flapack", ""), ("numpy.linalg._umath_linalg", "64_")):
-        try:
-            library = ctypes.CDLL(importlib.import_module(module).__file__)
-            get = getattr(library, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(library, f"scipy_openblas_set_num_threads{suffix}")
-        except (ImportError, OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        found.append((get, set_))
-    return tuple(found)
+    try:
+        from scipy.linalg import _flapack
+
+        library = ctypes.CDLL(_flapack.__file__)
+        get, set_ = library.scipy_openblas_get_num_threads, library.scipy_openblas_set_num_threads
+    except (ImportError, OSError, AttributeError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 # The thread count is process-wide: one scope at a time sets and restores it,
@@ -543,20 +529,22 @@ _BLAS_THREADS_LOCK = threading.RLock()
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body with every OpenBLAS of :func:`_openblas_threads` on one
-    thread, and restore the previous counts on exit, also when the body
-    raises; a no-op where none is found.  Also a decorator, as any
+    """Run the body with scipy's OpenBLAS on one thread, and restore the
+    previous count on exit, also when the body raises; a no-op where scipy's
+    LAPACK calls no OpenBLAS it can find.  Also a decorator, as any
     :func:`contextlib.contextmanager` is."""
     threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
     with _BLAS_THREADS_LOCK:
-        previous = [get() for get, _ in threads]
-        for _, set_ in threads:
-            set_(1)
+        previous = get()
+        set_(1)
         try:
             yield
         finally:
-            for (_, set_), count in zip(threads, previous):
-                set_(count)
+            set_(previous)
 
 
 def _orthonormal_basis(block: np.ndarray) -> np.ndarray:
@@ -645,7 +633,7 @@ def _triangular_inverse_norm(
     and where the Gram matrix is singular in float arithmetic, the unsettled
     power estimate stands, and ``change`` shows it.
 
-    The whole call runs with scipy's and numpy's OpenBLAS on one thread
+    The whole call runs with scipy's OpenBLAS on one thread
     (:func:`_one_blas_thread`), for the power loop's QR
     (:func:`_orthonormal_basis`); the result does not depend on the count.
     """
@@ -716,9 +704,12 @@ def asymmetry_report(
 
     The triangular side forms no matrix.  ``norm_triangular = ||T_N(f)||``,
     the compression norm an isometry sweep tabulates, is read off the banded
-    Gram matrix by :func:`operators.compression_norm`.  The inverse of a
-    lower-triangular Toeplitz matrix is the Toeplitz matrix of the
-    power-series inverse, ``T_N(f)^{-1} = T_N(1/f)``, and its norm comes
+    Gram matrix by :func:`operators.compression_norm`; given ``sup``, the
+    grid sup norm of ``f``, each norm after the first starts from a guess
+    predicted from the one before (:func:`operators.predicted_norm`), and the
+    values do not depend on it.  The inverse of a lower-triangular Toeplitz
+    matrix is the Toeplitz matrix of the power-series inverse,
+    ``T_N(f)^{-1} = T_N(1/f)``, and its norm comes
     from banded triangular solves (:func:`_triangular_inverse_norm`), carried
     as a :class:`WideFloat` so that the geometric blow-up of a root inside
     the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
@@ -728,10 +719,7 @@ def asymmetry_report(
     underflows to 0 has none: ``FloatingPointError``, as when every scaled
     entry underflows.  The
     verdict of ``classification`` (by default, at ``DEFAULT_ROOT_TOL``)
-    decides whether the banded inverse norm may answer.  ``sup``, the grid
-    sup norm of ``f`` where the caller has it, lets each compression norm
-    after the first start from a guess predicted from the one before
-    (``operators._predicted_norm``); the values do not depend on it.
+    decides whether the banded inverse norm may answer.
     """
     if not f.is_causal:
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
@@ -757,7 +745,7 @@ def asymmetry_report(
         singular = smallest == 0.0
         wide_circ = None if singular else WideFloat.of(smallest).reciprocal()
         cond_circ = math.inf if singular else largest / smallest
-        near = operators._predicted_norm(sup, previous, dim)
+        near = None if previous is None else operators.predicted_norm(sup, *previous, dim)
         norm_tri = operators.compression_norm(f, dim, near)
         previous = (dim, norm_tri)
         if a0 == 0:

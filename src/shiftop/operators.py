@@ -9,8 +9,9 @@ entry ``(i, j)``.
 ``T_N(f)^H T_N(f)`` of bandwidth ``q = deg f``: bisection by inertia brackets
 its largest eigenvalue, with a stated margin, by banded Cholesky
 factorizations of O(N q^2) each, about 52 from a blind bracket and about 10
-from one certified around a predicted eigenvalue (``isometry_sweep`` and
-``invertibility.asymmetry_report`` predict each norm from the one before).
+from one certified around a predicted eigenvalue (``predicted_norm`` guesses
+each norm of a table from the one before, as
+``invertibility.asymmetry_report`` does for analyze).
 ``invertibility`` applies ``T_N(1/f)`` by banded solves.  ``operator_norm``
 takes one dense SVD of whatever matrix it is given; no computation in the
 package calls it or builds an ``N x N`` matrix with ``build_unilateral``, and
@@ -36,6 +37,7 @@ __all__ = [
     "build_unilateral",
     "operator_norm",
     "compression_norm",
+    "predicted_norm",
     "isometry_dims",
     "isometry_rows",
     "isometry_sweep",
@@ -175,8 +177,8 @@ def _gram_eigenvalue(
     ``zpbtrf``, O(N q^2)) tells which.  From ``[G_00, Gershgorin bound]``, or
     ``[0, min_j G_jj]``, that takes about 52 steps.
 
-    An ``estimate`` of the eigenvalue strictly inside that bracket shortens
-    the search.  Factorizations at ``estimate -+ w``, ``w = 2**-23
+    An ``estimate`` of the largest eigenvalue strictly inside that bracket
+    shortens the search; with ``lowest`` it is ignored.  Factorizations at ``estimate -+ w``, ``w = 2**-23
     estimate``, widened 16-fold at most twice, bracket the eigenvalue; four
     steps of block inverse iteration with the factor that succeeded nearest
     to it give a Ritz value ``rho`` (:func:`_ritz_value`), and
@@ -252,16 +254,16 @@ def _gram_eigenvalue(
                 break
         return factor
 
-    if estimate is not None and lo < estimate < hi:
+    if estimate is not None and not lowest and lo < estimate < hi:
         # each ladder first tries the side the eigenvalue more often lies on:
         # when the eigenvalue lies beyond that shift, the other one falls
         # outside the bracket and is not made.  The predicted norms overshoot
-        # more often than not, and a Ritz value never passes the extreme
+        # more often than not, and a Ritz value never exceeds the largest
         # eigenvalue
         width = _ESTIMATE_WIDTH * estimate
-        factor = close_in(estimate, (width, 16 * width, 256 * width), -sign)
-        if factor is not None and math.isfinite(rho := _ritz_value(band, factor, lowest)):
-            close_in(rho, (margin * _CHECK_FRACTION, 2 * margin), sign)
+        factor = close_in(estimate, (width, 16 * width, 256 * width), -1.0)
+        if factor is not None and math.isfinite(rho := _ritz_value(band, factor)):
+            close_in(rho, (margin * _CHECK_FRACTION, 2 * margin), 1.0)
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         narrow(mid)
     return lo, hi, margin
@@ -286,11 +288,11 @@ def _start_block(dim: int) -> np.ndarray:
     return block
 
 
-def _ritz_value(band: np.ndarray, factor: np.ndarray, lowest: bool) -> float:
-    """The largest (smallest with ``lowest``) Ritz value of the band's ``G``
-    on the block that ``_RITZ_STEPS`` steps of inverse iteration with the
-    banded Cholesky ``factor`` of a shifted ``G`` reach from a seeded start;
-    nan when an iterate is not finite.
+def _ritz_value(band: np.ndarray, factor: np.ndarray) -> float:
+    """The largest Ritz value of the band's ``G`` on the block that
+    ``_RITZ_STEPS`` steps of inverse iteration with the banded Cholesky
+    ``factor`` of a shifted ``G`` reach from a seeded start; nan when an
+    iterate is not finite.
 
     Two columns, not one: a real symbol whose ``|f|`` peaks at a conjugate
     pair of points has its top two eigenvalues a relative 1e-7 apart at
@@ -307,8 +309,7 @@ def _ritz_value(band: np.ndarray, factor: np.ndarray, lowest: bool) -> float:
         return math.nan
     q = band.shape[0] - 1
     image = np.column_stack([blas.zhbmv(q, 1.0, band, column, lower=1) for column in block.T])
-    ritz = np.linalg.eigvalsh(block.conj().T @ image)
-    return float(ritz[0] if lowest else ritz[-1])
+    return float(np.linalg.eigvalsh(block.conj().T @ image)[-1])
 
 
 def compression_norm(f: WienerElement, dim: int, near: float | None = None) -> float:
@@ -329,21 +330,22 @@ def compression_norm(f: WienerElement, dim: int, near: float | None = None) -> f
     return scale * math.sqrt(_gram_eigenvalue(band, estimate=estimate)[1])
 
 
-def _predicted_norm(
-    sup: float | None, previous: tuple[int, float] | None, dim: int
+def predicted_norm(
+    sup: float | None, last_dim: int, last_norm: float, dim: int
 ) -> float | None:
-    """A guess of ``||T_N(f)||`` from ``(N', ||T_N'(f)||)`` at a smaller ``N'``.
+    """A guess ``near`` of ``||T_N(f)||`` for :func:`compression_norm` from
+    ``last_norm = ||T_N'(f)||`` at a smaller ``N' = last_dim``.
 
-    The norms rise towards the sup norm, and near a simple maximum of
-    ``|f|`` the top eigenvalue of the Gram matrix approaches ``sup**2`` at a
-    rate of about ``1/N**2`` (Boettcher & Grudsky, *Spectral Properties of
+    The norms rise towards the sup norm of ``f``, and near a simple maximum
+    of ``|f|`` the top eigenvalue of the Gram matrix approaches ``sup**2`` at
+    a rate of about ``1/N**2`` (Boettcher & Grudsky, *Spectral Properties of
     Banded Toeplitz Matrices*, 2005): ``near**2 = sup**2 - (sup**2 -
-    ||T_N'(f)||**2) (N'/N)**2``, formed relative to ``sup``.  None without a
-    finite positive ``sup`` or a previous norm.
+    ||T_N'(f)||**2) (N'/N)**2``, formed relative to ``sup``.  None, the
+    plain bracket, without a finite positive ``sup`` or where that square is
+    not positive.
     """
-    if previous is None or sup is None or not 0 < sup < math.inf:
+    if sup is None or not 0 < sup < math.inf:
         return None
-    last_dim, last_norm = previous
     ratio = last_norm / sup
     square = 1.0 - (1.0 - ratio * ratio) * (last_dim / dim) ** 2
     return sup * math.sqrt(square) if square > 0 else None
@@ -380,15 +382,9 @@ def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[Iso
 
     Returns rows ``(N, ||f(T_N)||, sup - ||f(T_N)||)``.  The norm column is
     nondecreasing (each truncation is a compression of the next) and the gap
-    column nonincreasing, up to float noise of order 1e-14 near zero.  Each
-    norm after the first starts its bisection from a guess predicted from
-    the one before and the sup norm (:func:`_predicted_norm`); the values do
-    not depend on it.
+    column nonincreasing, up to float noise of order 1e-14 near zero.
     """
     dims = isometry_dims(dims)
     sup = wiener.sup_norm(f, grid_size)
-    norms, previous = [], None
-    for dim in dims:
-        norms.append(compression_norm(f, dim, _predicted_norm(sup, previous, dim)))
-        previous = (dim, norms[-1])
+    norms = [compression_norm(f, dim) for dim in dims]
     return isometry_rows(dims, norms, sup)

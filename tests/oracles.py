@@ -155,10 +155,10 @@ def dense_inverse_norm(f: WienerElement, dim: int) -> float:
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
 
 
-def gram_eigenvalue_oracle(band: np.ndarray, lowest: bool = False) -> tuple[float, float, float]:
-    """``shiftop.operators._gram_eigenvalue`` without an estimate: plain
-    bisection by inertia from ``[G_00, Gershgorin bound]`` (``[0, min_j G_jj]``
-    with ``lowest``), the reference the estimated start must match bit for bit."""
+def gram_eigenvalue_oracle(band: np.ndarray) -> tuple[float, float, float]:
+    """``shiftop.operators._gram_eigenvalue`` for the largest eigenvalue
+    without an estimate: plain bisection by inertia from ``[G_00, Gershgorin
+    bound]``, the reference the estimated start must match bit for bit."""
     from scipy.linalg import lapack
 
     q, diagonal = band.shape[0] - 1, band[0].real
@@ -166,14 +166,13 @@ def gram_eigenvalue_oracle(band: np.ndarray, lowest: bool = False) -> tuple[floa
     unit = np.finfo(float).eps / 2
     margin = 8 * (q + 1) * (q + 3) * unit / (1 - (q + 3) * unit) * (2 * q + 1) * largest
     gershgorin = 2 * float(np.abs(band).max(axis=1).sum()) - largest
-    sign = -1.0 if lowest else 1.0
-    shifted = np.asfortranarray(-sign * band)
-    lo, hi = (0.0, float(diagonal.min())) if lowest else (largest, gershgorin)
+    shifted = np.asfortranarray(-band)
+    lo, hi = largest, gershgorin
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         work = shifted.copy(order="F")
-        work[0] += sign * mid
+        work[0] += mid
         definite = lapack.zpbtrf(work, lower=1, overwrite_ab=1)[1] == 0
-        lo, hi = (mid, hi) if definite == lowest else (lo, mid)
+        lo, hi = (lo, mid) if definite else (mid, hi)
     return lo, hi, margin
 
 

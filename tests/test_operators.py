@@ -384,17 +384,6 @@ def test_estimated_bracket_matches_plain_bisection_property(symbol, exponent, di
     assert len(calls) <= plain + 6
 
 
-@pytest.mark.parametrize("dim", [2, 64, 700])
-@pytest.mark.parametrize("relative", [-1e-6, 1e-9, 1e-3])
-def test_estimated_lowest_bracket_matches_plain_bisection(dim, relative):
-    # the smallest eigenvalue, which the banded inverse norm reads, takes an
-    # estimate the same way; roots 3 and -2.5 keep it well above zero
-    band = operators._gram_band(WienerElement((1, 1 / 2.5 - 1 / 3, -1 / 7.5)), dim)[0]
-    oracle = gram_eigenvalue_oracle(band, lowest=True)
-    estimate = oracle[0] * (1 + relative)
-    assert operators._gram_eigenvalue(band, lowest=True, estimate=estimate) == oracle
-
-
 # -- Szego vectors and Rayleigh quotients --------------------------------------
 
 
