@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy.linalg import toeplitz
 from oracles import ar_ladder_oracle, sample_csv_oracle
 
 from shiftop import process, wiener
@@ -221,6 +222,101 @@ def test_pairwise_leaves_reproduce_numpy_sum(n):
     assert [lo for lo, _ in leaves] == [0, *np.cumsum([size for _, size in leaves])[:-1]]
     assert sum(size for _, size in leaves) == n
     assert max(size for _, size in leaves) <= LEAF
+
+
+def _ladder_symbol(kind: str, draws) -> WienerElement:
+    """A transfer of one ladder class; ``draws`` are (modulus in [1.05, 4], angle, pair)."""
+    if kind == "odd_zero":  # 1 + 0.5 z**2: every odd b_m is exactly 0
+        return WienerElement((1, 0, 0.5))
+    roots = []
+    for i, (modulus, angle, pair) in enumerate(draws):
+        if kind == "divergent" and i == 0:  # the first root mirrored inside the circle
+            modulus = 1 / modulus
+        roots += [cmath.rect(modulus, angle), cmath.rect(modulus, -angle)] if pair else [modulus]
+    return transfer_from_roots(roots)
+
+
+@seed(24)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(("invertible", "invertible", "divergent", "odd_zero")),
+    st.lists(
+        st.tuples(st.floats(1.05, 4.0), st.floats(0.0, math.pi), st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+    st.sampled_from((0.0, 1e-300, 1.0, 1e150)),
+    st.sampled_from((1, 3, 57, 200, 200)),
+    st.sampled_from((1, 9, LEAF - 1, LEAF, LEAF + 1, 2 * LEAF + 5)),
+    st.integers(0, 2**32 - 1),
+)
+# roots 2.5 to 4 out: every leaf skips its steps past about m = 55
+@example("invertible", [(2.5, 0.5, True), (4.0, 0.0, False)], 1.0, 200, 2 * LEAF + 5, 1)
+@example("invertible", [(2.5, 0.5, True), (4.0, 0.0, False)], 1e-300, 200, 2 * LEAF + 5, 2)
+@example("invertible", [(2.5, 0.5, True), (4.0, 0.0, False)], 1e150, 200, LEAF + 1, 3)
+def test_ladder_matches_oracle_property(kind, draws, sigma, max_lag, rows, path_seed):
+    # the skipped tail of an Invertible ladder, zero b_m, divergent and
+    # overflowing ladders and extreme sigma all keep the oracle's bits; a
+    # diverging ladder ends just before the oracle's first non-finite MSE
+    f = _ladder_symbol(kind, draws)
+    sample = simulate(f, sigma, max_lag + rows, path_seed)
+    b = process._formal_ar_coefficients(f, max_lag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        oracle = ar_ladder_oracle(sample, b, max_lag)
+    got = process._ar_ladder_mse(sample, b, max_lag)
+    assert got == oracle[: len(got)]
+    assert len(got) == max_lag + 1 or not math.isfinite(oracle[len(got)][1])
+
+
+def _ladder_steps_run(monkeypatch, f: WienerElement, t_len: int, max_lag: int) -> tuple[int, int]:
+    """Filter steps the ladder ran (one ``np.multiply`` each) and steps it had, over every leaf."""
+    calls = []
+    multiply = np.multiply
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return multiply(*args, **kwargs)
+
+    sample = simulate(f, 1.0, t_len, 5)
+    b = process._formal_ar_coefficients(f, max_lag)
+    monkeypatch.setattr(np, "multiply", counting)
+    got = process._ar_ladder_mse(sample, b, max_lag)
+    monkeypatch.undo()
+    assert got == ar_ladder_oracle(sample, b, max_lag)
+    leaves = []
+    process._pairwise_sum(lambda lo, size: leaves.append(size) or 0.0, t_len - max_lag)
+    return len(calls), len(leaves) * max_lag
+
+
+def test_ladder_skips_the_tail_of_an_invertible_transfer(monkeypatch):
+    # the b_m of 1/((1 - z/2.5)(1 + z/3)) decay geometrically, and each leaf
+    # runs about 70 of its 200 steps; a diverging ladder runs every step
+    run, steps = _ladder_steps_run(monkeypatch, transfer_from_roots([2.5, -3.0]), 3 * LEAF, 200)
+    assert 0 < run < steps / 2
+    run, steps = _ladder_steps_run(monkeypatch, WINDOW, 3 * LEAF, 200)
+    assert run == steps
+
+
+# -- the t column of sample.csv --------------------------------------------------
+
+
+@pytest.mark.parametrize("t0", (0, 5, 10**5 - 7, 10**7 - 7, 10**14 - 7, 10**15 - 7))
+def test_encode_rows_writes_t_as_printf(t0):
+    # rows across 10, 10**5, 10**7 (where t takes two words) and 10**15 (three)
+    rng = np.random.default_rng(t0)
+    path, eps = rng.standard_normal((2, 20))
+    t_words = -(-(len(str(t0 + 19)) + 1) // 8)
+    expected = b"".join(
+        b"\n%d,%s,%s" % (t0 + i, format(x, ".17g").encode(), format(e, ".17g").encode())
+        for i, (x, e) in enumerate(zip(path, eps))
+    )
+    assert process._encode_rows(t0, path, eps, t_words) == expected
+
+
+@pytest.mark.parametrize("t_len", (1, 10, 11, 100_001))
+def test_sample_csv_t_column_matches_oracle(t_len):
+    sample = simulate(MA1, 1.0, t_len, 23)
+    assert process.sample_to_csv(sample).decode("ascii") == sample_csv_oracle(sample)
 
 
 # -- divergence of the formal inverse ---------------------------------------------
@@ -497,6 +593,42 @@ def test_wold_rejects_negative_spectral_density():
     # 1 + 1.2 cos(w) < 0 near w = pi, yet the 2 x 2 matrix is positive definite
     with pytest.raises(ValueError, match="do not extend to a valid MA model"):
         wold_estimate((1.0, 0.6), 1)
+
+
+def test_wold_polish_resolves_merged_pairs_near_the_circle():
+    # roots e^{+-0.0674i} on the circle and 1.0039 e^{-+0.073i} just outside:
+    # the root split alone leaves a residual of 1.4e-5, above the tolerance;
+    # the Gauss-Newton polish brings it to rounding level
+    f = transfer_from_roots(
+        [cmath.exp(0.0674j), cmath.exp(-0.0674j), 1.0039 * cmath.exp(-0.073j), 1.0039 * cmath.exp(0.073j)]
+    )
+    gamma = ma_autocovariance(f, 1.0, 4)
+    est = wold_estimate(gamma, 4)
+    assert est.verdict is Verdict.BORDERLINE
+    assert est.transfer.coeff(0) == 1
+    fit = ma_autocovariance(est.transfer, math.sqrt(est.sigma2), 4)
+    assert np.max(np.abs(fit - gamma)) <= 1e-14 * gamma[0]
+
+
+def test_wold_rejects_a_density_that_dips_below_zero():
+    # gamma of an MA(4) less a constant: its spectral density now dips to
+    # -1e-3 gamma_0, and no polished factor can fit it
+    gamma = ma_autocovariance(transfer_from_roots([1.3j, -1.3j, 1.6, -2.0]), 1.0, 4)
+    w = np.linspace(0, math.pi, 8193)
+    density = gamma[0] + 2 * sum(gamma[k] * np.cos(k * w) for k in range(1, 5))
+    gamma[0] -= density.min() + 1e-3 * gamma[0]
+    np.linalg.cholesky(toeplitz(gamma))  # still positive definite
+    with pytest.raises(ValueError, match="do not extend to a valid MA model"):
+        wold_estimate(gamma, 4)
+
+
+def test_polish_never_raises_the_residual():
+    gamma = np.array([1.0, 0.6])  # density 1 + 1.2 cos(w) dips below zero
+    for a1 in (1.0, 0.9, 0.5, 0.0, -1.0):
+        a = np.array([1.0, a1])
+        polished, residual = process._polished_factor(a, gamma)
+        assert polished[0] == 1
+        assert 1e-3 < residual <= process._factor_residual(a, gamma)
 
 
 def test_wold_subnormal_autocovariances():
