@@ -28,10 +28,8 @@ from .wiener import (
 )
 from .operators import (
     IsometryRow,
-    OperatorKind,
-    TruncatedOperator,
     build_unilateral,
-    compression_norm,
+    compression_norms,
     isometry_sweep,
     operator_norm,
 )
@@ -78,10 +76,8 @@ __all__ = [
     "sup_norm",
     "sup_norm_grid_error",
     "IsometryRow",
-    "OperatorKind",
-    "TruncatedOperator",
     "build_unilateral",
-    "compression_norm",
+    "compression_norms",
     "isometry_sweep",
     "operator_norm",
     "AsymmetryRow",

@@ -20,9 +20,11 @@ Exit codes: 0 success, 2 invalid input, 3 borderline symbol (a root on the
 circle within ``--tol``), 4 truncation tail not certified, 5 numerical
 failure (a linear algebra routine, such as the eigenvalue solver behind the
 root classification, failed on valid input, or a scaling overflowed, as for
-a root of subnormal modulus).  No file is written on a nonzero exit.  The
-commands raise their failures; ``_exits``, the wrapper every command runs
-in, is the one place that maps them to exit codes.
+a root of subnormal modulus).  An input too large to allocate (numpy's
+``MemoryError``, as for ``analyze --grid 1125899906842624``) exits 2.  No
+file is written on a nonzero exit.  The commands raise their failures;
+``_exits``, the wrapper every command runs in, is the one place that maps
+them to exit codes.
 """
 
 from __future__ import annotations
@@ -496,7 +498,7 @@ def _exits(command):
     input and exits 2.  numpy's ``LinAlgError`` subclasses ``ValueError`` but
     means a numerical routine failed on valid input, so it exits 5; so does a
     ``FloatingPointError``, a scaling that overflows or underflows on valid
-    input.
+    input.  A ``MemoryError``, an input too large to allocate, exits 2.
     """
 
     @functools.wraps(command)
@@ -508,6 +510,9 @@ def _exits(command):
             code = EXIT_NUMERICAL_FAILURE
         except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
+            code = EXIT_INPUT_ERROR
+        except MemoryError as exc:
+            click.echo(f"error: not enough memory for this input: {exc}", err=True)
             code = EXIT_INPUT_ERROR
         sys.exit(code)
 

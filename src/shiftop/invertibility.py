@@ -704,12 +704,11 @@ def asymmetry_report(
 
     The triangular side forms no matrix.  ``norm_triangular = ||T_N(f)||``,
     the compression norm an isometry sweep tabulates, is read off the banded
-    Gram matrix by :func:`operators.compression_norm`; given ``sup``, the
+    Gram matrix by :func:`operators.compression_norms`; given ``sup``, the
     grid sup norm of ``f``, each norm after the first starts from a guess
-    predicted from the one before (:func:`operators.predicted_norm`), and the
-    values do not depend on it.  The inverse of a lower-triangular Toeplitz
-    matrix is the Toeplitz matrix of the power-series inverse,
-    ``T_N(f)^{-1} = T_N(1/f)``, and its norm comes
+    predicted from the one before, and the values do not depend on it.  The
+    inverse of a lower-triangular Toeplitz matrix is the Toeplitz matrix of
+    the power-series inverse, ``T_N(f)^{-1} = T_N(1/f)``, and its norm comes
     from banded triangular solves (:func:`_triangular_inverse_norm`), carried
     as a :class:`WideFloat` so that the geometric blow-up of a root inside
     the circle, such as the ``2**(N-1)`` growth for ``1 - 2z``, stays exact
@@ -725,6 +724,12 @@ def asymmetry_report(
         raise ValueError("asymmetry report needs a causal symbol (offset >= 0)")
     if f.is_zero:
         raise ValueError("asymmetry report needs a nonzero symbol")
+    dims = [int(dim) for dim in dims]
+    for dim in dims:
+        if dim < f.support_length:
+            raise ValueError(
+                f"dim {dim} is smaller than the support length {f.support_length}"
+            )
     rows = []
     a0 = f.coeff(0)
     if a0 != 0:
@@ -732,22 +737,13 @@ def asymmetry_report(
         # the value does not depend on rho, only whether the iteration overflows
         rho = min([1.0, *(abs(r) for r in classification.roots)])
         invertible = classification.verdict is Verdict.INVERTIBLE
-    previous = None  # (N, ||T_N(f)||) of the last row
-    for dim in dims:
-        dim = int(dim)
-        if dim < f.support_length:
-            raise ValueError(
-                f"dim {dim} is smaller than the support length {f.support_length}"
-            )
+    for dim, norm_tri in zip(dims, operators.compression_norms(f, dims, sup)):
         spectrum = np.abs(wiener.evaluate_on_grid(f, dim))
         smallest = float(spectrum.min())
         largest = float(spectrum.max())
         singular = smallest == 0.0
         wide_circ = None if singular else WideFloat.of(smallest).reciprocal()
         cond_circ = math.inf if singular else largest / smallest
-        near = None if previous is None else operators.predicted_norm(sup, *previous, dim)
-        norm_tri = operators.compression_norm(f, dim, near)
-        previous = (dim, norm_tri)
         if a0 == 0:
             wide, route, steps, change = None, "none", 0, 0.0
         else:

@@ -1,26 +1,26 @@
 """Finite truncations of shift operators and their norms.
 
 ``build_unilateral(f, N)`` is the compression of ``f`` applied to the
-unilateral shift ``T e_j = e_{j+1}`` onto the first ``N`` basis vectors.  For
-causal ``f`` this is the lower-triangular Toeplitz matrix with ``a_{i-j}`` at
-entry ``(i, j)``.
+unilateral shift ``T e_j = e_{j+1}`` onto the first ``N`` basis vectors, as
+a read-only ``N x N`` array.  For causal ``f`` this is the lower-triangular
+Toeplitz matrix with ``a_{i-j}`` at entry ``(i, j)``.
 
-``compression_norm(f, N)`` reads ``||T_N(f)||`` off the banded Gram matrix
-``T_N(f)^H T_N(f)`` of bandwidth ``q = deg f``: bisection by inertia brackets
-its largest eigenvalue, with a stated margin, by banded Cholesky
-factorizations of O(N q^2) each, about 52 from a blind bracket and about 10
-from one certified around a predicted eigenvalue (``predicted_norm`` guesses
-each norm of a table from the one before, as
-``invertibility.asymmetry_report`` does for analyze).
+``compression_norms(f, dims)`` reads each ``||T_N(f)||`` of a table off the
+banded Gram matrix ``T_N(f)^H T_N(f)`` of bandwidth ``q = deg f``: bisection
+by inertia brackets its largest eigenvalue, with a stated margin, by banded
+Cholesky factorizations of O(N q^2) each, about 52 from a blind bracket and
+about 10 from one certified around an eigenvalue predicted from the norm
+before and the sup norm of ``f``.  Isometry sweeps and
+``invertibility.asymmetry_report`` both take their norms from it.
 ``invertibility`` applies ``T_N(1/f)`` by banded solves.  ``operator_norm``
-takes one dense SVD of whatever matrix it is given; no computation in the
-package calls it or builds an ``N x N`` matrix with ``build_unilateral``, and
-both stay public for plain matrices and as the dense reference.
+takes one dense SVD of whatever square array it is given; no computation in
+the package calls it or builds an ``N x N`` matrix with
+``build_unilateral``, and both stay public for plain matrices and as the
+dense reference.
 """
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -31,43 +31,14 @@ from . import wiener
 from .wiener import WienerElement
 
 __all__ = [
-    "OperatorKind",
-    "TruncatedOperator",
     "IsometryRow",
     "build_unilateral",
     "operator_norm",
-    "compression_norm",
-    "predicted_norm",
+    "compression_norms",
     "isometry_dims",
     "isometry_rows",
     "isometry_sweep",
 ]
-
-
-class OperatorKind(enum.Enum):
-    UNILATERAL_COMPRESSION = "unilateral"
-    BILATERAL_CIRCULANT = "circulant"
-
-
-def _freeze(matrix: np.ndarray) -> np.ndarray:
-    matrix = np.ascontiguousarray(matrix, dtype=complex)
-    matrix.setflags(write=False)
-    return matrix
-
-
-@dataclass(frozen=True, eq=False)
-class TruncatedOperator:
-    """An ``N x N`` matrix remembering the symbol and truncation it came from."""
-
-    matrix: np.ndarray
-    kind: OperatorKind
-    source: WienerElement
-    dim: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", _freeze(self.matrix))
-        if self.matrix.shape != (self.dim, self.dim):
-            raise ValueError("matrix shape does not match dim")
 
 
 def _unilateral_column(f: WienerElement, dim: int) -> np.ndarray:
@@ -90,14 +61,14 @@ def _unilateral_column(f: WienerElement, dim: int) -> np.ndarray:
     return column
 
 
-def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
+def build_unilateral(f: WienerElement, dim: int) -> np.ndarray:
     """Power series in the truncated shift: ``sum_n a_n S**n``.
 
     ``S`` is the ``dim x dim`` matrix with ones on the first subdiagonal
     (``S e_j = e_{j+1}``, last basis vector annihilated), so ``S**n`` has ones
     on the n-th subdiagonal and each coefficient lands on its own diagonal:
     entry ``(i, j)`` is ``a_{i-j}``, zero above the diagonal and for indices
-    at or past ``dim``.  Requires a causal symbol.
+    at or past ``dim``.  Requires a causal symbol; the array is read-only.
     """
     column = _unilateral_column(f, dim)
     dim = len(column)
@@ -105,18 +76,18 @@ def build_unilateral(f: WienerElement, dim: int) -> TruncatedOperator:
     padded = np.concatenate((np.zeros(dim - 1, dtype=complex), column))
     i = np.arange(dim)
     matrix = padded[dim - 1 + i[:, None] - i[None, :]]
-    return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
+    matrix.setflags(write=False)
+    return matrix
 
 
 def operator_norm(operator) -> float:
     """Largest singular value of a square matrix, from a dense SVD.
 
-    Accepts a :class:`TruncatedOperator` of either kind or a plain square
-    array.  For the compression ``T_N(f)`` of a polynomial symbol use
-    :func:`compression_norm`, which needs no ``N x N`` matrix; for its
+    For the compression ``T_N(f)`` of a polynomial symbol use
+    :func:`compression_norms`, which needs no ``N x N`` matrix; for its
     inverse, :func:`shiftop.invertibility.asymmetry_report`.
     """
-    matrix = operator.matrix if isinstance(operator, TruncatedOperator) else np.asarray(operator, dtype=complex)
+    matrix = np.asarray(operator, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("operator must be a square matrix")
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
@@ -312,43 +283,41 @@ def _ritz_value(band: np.ndarray, factor: np.ndarray) -> float:
     return float(np.linalg.eigvalsh(block.conj().T @ image)[-1])
 
 
-def compression_norm(f: WienerElement, dim: int, near: float | None = None) -> float:
-    """``||T_N(f)||`` for ``T_N(f) = build_unilateral(f, dim)``, without the matrix.
+def compression_norms(f: WienerElement, dims, sup: float | None = None) -> list[float]:
+    """``||T_N(f)||`` for each ``N`` in ``dims``, without forming the matrices
+    ``T_N(f) = build_unilateral(f, N)``.
 
-    The square root of the upper end of the bracket :func:`_gram_eigenvalue`
-    certifies for the largest eigenvalue of the banded Gram matrix
-    ``T_N(f)^H T_N(f)`` (see :func:`_gram_band`), for degree ``q`` by banded
-    Cholesky factorizations of O(N q^2) each: about 52 from the plain
-    bracket, and about 10 when ``near``, a guess of ``||T_N(f)||``, is good
-    to a relative 3e-5.  The guess only shortens the search, so the value
-    does not depend on it.
+    Each norm is the square root of the upper end of the bracket
+    :func:`_gram_eigenvalue` certifies for the largest eigenvalue of the
+    banded Gram matrix ``T_N(f)^H T_N(f)`` (see :func:`_gram_band`), for
+    degree ``q`` by banded Cholesky factorizations of O(N q^2) each: about 52
+    from the plain bracket, and about 10 from a guess good to a relative
+    3e-5.  Given ``sup``, the sup norm of ``f``, each norm after the first
+    starts from such a guess.  The norms rise towards ``sup``, and near a
+    simple maximum of ``|f|`` the top eigenvalue of the Gram matrix approaches
+    ``sup**2`` at a rate of about ``1/N**2`` (Boettcher & Grudsky, *Spectral
+    Properties of Banded Toeplitz Matrices*, 2005), so the guess after
+    ``||T_N'(f)||`` is ``near**2 = sup**2 - (sup**2 - ||T_N'(f)||**2)
+    (N'/N)**2``, formed relative to ``sup``.  The plain bracket serves
+    without a finite positive ``sup`` or where that square is not positive.
+    The guess only shortens the search, so the values do not depend on it.
     """
-    band, scale = _gram_band(f, dim)
-    if scale == 0.0:
-        return 0.0
-    estimate = None if near is None else (near / scale) * (near / scale)
-    return scale * math.sqrt(_gram_eigenvalue(band, estimate=estimate)[1])
-
-
-def predicted_norm(
-    sup: float | None, last_dim: int, last_norm: float, dim: int
-) -> float | None:
-    """A guess ``near`` of ``||T_N(f)||`` for :func:`compression_norm` from
-    ``last_norm = ||T_N'(f)||`` at a smaller ``N' = last_dim``.
-
-    The norms rise towards the sup norm of ``f``, and near a simple maximum
-    of ``|f|`` the top eigenvalue of the Gram matrix approaches ``sup**2`` at
-    a rate of about ``1/N**2`` (Boettcher & Grudsky, *Spectral Properties of
-    Banded Toeplitz Matrices*, 2005): ``near**2 = sup**2 - (sup**2 -
-    ||T_N'(f)||**2) (N'/N)**2``, formed relative to ``sup``.  None, the
-    plain bracket, without a finite positive ``sup`` or where that square is
-    not positive.
-    """
-    if sup is None or not 0 < sup < math.inf:
-        return None
-    ratio = last_norm / sup
-    square = 1.0 - (1.0 - ratio * ratio) * (last_dim / dim) ** 2
-    return sup * math.sqrt(square) if square > 0 else None
+    predict = sup is not None and 0 < sup < math.inf
+    norms, last_dim = [], None
+    for dim in map(int, dims):
+        band, scale = _gram_band(f, dim)
+        norm, estimate = 0.0, None
+        if scale != 0.0:
+            if predict and last_dim is not None:
+                ratio = norms[-1] / sup
+                square = 1.0 - (1.0 - ratio * ratio) * (last_dim / dim) ** 2
+                if square > 0:
+                    near = sup * math.sqrt(square)
+                    estimate = (near / scale) * (near / scale)
+            norm = scale * math.sqrt(_gram_eigenvalue(band, estimate=estimate)[1])
+        norms.append(norm)
+        last_dim = dim
+    return norms
 
 
 @dataclass(frozen=True)
@@ -386,5 +355,4 @@ def isometry_sweep(f: WienerElement, dims, grid_size: int = 1 << 16) -> list[Iso
     """
     dims = isometry_dims(dims)
     sup = wiener.sup_norm(f, grid_size)
-    norms = [compression_norm(f, dim) for dim in dims]
-    return isometry_rows(dims, norms, sup)
+    return isometry_rows(dims, compression_norms(f, dims, sup), sup)

@@ -51,12 +51,19 @@ import numpy as np
 
 from shiftop import wiener
 from shiftop.invertibility import TailNotCertifiedError, WideFloat
-from shiftop.operators import OperatorKind, TruncatedOperator, _freeze, build_unilateral
+from shiftop.operators import build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
 
 
-def build_toeplitz(f: WienerElement, dim: int) -> TruncatedOperator:
+def _frozen(array) -> np.ndarray:
+    """``array`` as a read-only, C-contiguous complex array."""
+    array = np.ascontiguousarray(array, dtype=complex)
+    array.setflags(write=False)
+    return array
+
+
+def build_toeplitz(f: WienerElement, dim: int) -> np.ndarray:
     """Toeplitz matrix of ``f`` by projected multiplication, column by column.
 
     Column ``j`` is the coefficient sequence of ``f(z) * z**j`` with negative
@@ -76,10 +83,10 @@ def build_toeplitz(f: WienerElement, dim: int) -> TruncatedOperator:
         shifted = wiener.multiply(f, WienerElement((1,), j))
         for i in range(dim):
             matrix[i, j] = shifted.coeff(i)
-    return TruncatedOperator(matrix, OperatorKind.UNILATERAL_COMPRESSION, f, dim)
+    return _frozen(matrix)
 
 
-def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
+def build_bilateral(f: WienerElement, dim: int) -> np.ndarray:
     """Symbol applied to the cyclic shift: a circulant matrix.
 
     Requires ``dim >= support_length`` so that distinct coefficients never
@@ -99,7 +106,7 @@ def build_bilateral(f: WienerElement, dim: int) -> TruncatedOperator:
         first_col[(f.offset + k) % dim] += c
     i = np.arange(dim)
     matrix = first_col[(i[:, None] - i[None, :]) % dim]
-    return TruncatedOperator(matrix, OperatorKind.BILATERAL_CIRCULANT, f, dim)
+    return _frozen(matrix)
 
 
 def wide_log10(w: WideFloat) -> float:
@@ -107,10 +114,10 @@ def wide_log10(w: WideFloat) -> float:
     return math.log10(w.mantissa) + w.exponent * math.log10(2.0)
 
 
-def dump_matrix(operator: TruncatedOperator) -> str:
-    """Dense text dump: header ``"N kind"`` then N rows of ``re,im`` pairs."""
-    lines = [f"{operator.dim} {operator.kind.value}"]
-    for row in operator.matrix:
+def dump_matrix(matrix: np.ndarray) -> str:
+    """Dense text dump: header ``N`` then N rows of ``re,im`` pairs."""
+    lines = [str(matrix.shape[0])]
+    for row in matrix:
         lines.append(" ".join(f"{c.real:.17g},{c.imag:.17g}" for c in row))
     return "\n".join(lines) + "\n"
 
@@ -149,7 +156,7 @@ def dense_inverse_norm(f: WienerElement, dim: int) -> float:
     g = series_inverse_oracle(f.to_array(), dim)
     if not np.all(np.isfinite(g)):
         return float("inf")
-    matrix = build_unilateral(WienerElement(tuple(g)), dim).matrix
+    matrix = build_unilateral(WienerElement(tuple(g)), dim)
     if not np.any(matrix.imag):
         matrix = matrix.real
     return float(np.linalg.svd(matrix, compute_uv=False)[0])
@@ -341,7 +348,7 @@ class SzegoVector:
             raise ValueError(
                 f"kernel point must satisfy |w| <= {MAX_SZEGO_MODULUS}, got |w| = {abs(point)}"
             )
-        values = _freeze(self.values)
+        values = _frozen(self.values)
         if values.ndim != 1 or values.shape[0] < 1:
             raise ValueError("values must be a nonempty vector")
         if values[0] != 1:
@@ -363,5 +370,5 @@ def rayleigh_quotient(f: WienerElement, w: SzegoVector) -> complex:
     never exceeds the operator norm.
     """
     k = w.values
-    a = build_unilateral(f, k.shape[0]).matrix
+    a = build_unilateral(f, k.shape[0])
     return complex(np.vdot(k, a @ k) / np.vdot(k, k))

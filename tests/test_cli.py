@@ -87,9 +87,10 @@ def test_analyze_borderline_has_no_inverse_block(runner, tmp_path):
 
 def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
     # ||T_N(f)|| serves both the isometry and the asymmetry table, so each N
-    # costs one banded norm of T_N(f); its inverse's norm comes from banded
-    # solves, with no N x N matrix and no dense SVD
-    calls = {"operator_norm": 0, "build_unilateral": 0, "compression_norm": 0}
+    # costs one bracket of the top eigenvalue of the banded Gram matrix of
+    # T_N(f); its inverse's norm comes from banded solves, with no N x N
+    # matrix and no dense SVD
+    calls = {"operator_norm": 0, "build_unilateral": 0, "top_eigenvalue": 0}
 
     def counting(name):
         fn = getattr(operators, name)
@@ -100,8 +101,15 @@ def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
 
         monkeypatch.setattr(operators, name, counted)
 
-    for name in calls:
+    for name in ("operator_norm", "build_unilateral"):
         counting(name)
+    gram_eigenvalue = operators._gram_eigenvalue
+
+    def top_counted(band, lowest=False, estimate=None):
+        calls["top_eigenvalue"] += not lowest
+        return gram_eigenvalue(band, lowest, estimate)
+
+    monkeypatch.setattr(operators, "_gram_eigenvalue", top_counted)
     dims = (4, 16, 64)
     for coeffs in ("1,-0.5", "1,-2", "1,-1"):
         calls.update(dict.fromkeys(calls, 0))
@@ -111,7 +119,7 @@ def test_analyze_takes_two_norms_per_dim(runner, tmp_path, monkeypatch):
              "--out", str(tmp_path)],
         )
         assert result.exit_code == 0, result.output
-        assert calls == {"operator_norm": 0, "build_unilateral": 0, "compression_norm": len(dims)}
+        assert calls == {"operator_norm": 0, "build_unilateral": 0, "top_eigenvalue": len(dims)}
 
 
 def test_analyze_gates_the_banded_inverse_norm_by_its_own_tol(runner, tmp_path, monkeypatch):
@@ -929,6 +937,20 @@ def test_extreme_magnitudes_exit_with_a_documented_code(runner, tmp_path, argv, 
     assert message in result.output
     assert out.exists() == (code == 0)
 
+
+
+@pytest.mark.parametrize("option", ["--grid", "--dims"])
+def test_unallocatable_size_exits_2(runner, tmp_path, option):
+    # 2**50 points ask numpy for 8 PiB or more, which no machine grants, so
+    # the allocation fails at once without touching memory
+    out = tmp_path / "out"
+    result = runner.invoke(
+        main, ["analyze", "--coeffs", "1,-0.5", option, str(2**50), "--out", str(out)]
+    )
+    assert result.exit_code == 2, result.output
+    lines = result.output.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: not enough memory for this input: ")
+    assert not out.exists()
 
 _EXTREME = st.one_of(
     st.just(0.0),

@@ -29,6 +29,10 @@ REMOVED = (
     "from_json_dict",
     "build_bilateral",
     "formal_ar_coefficients",
+    "OperatorKind",
+    "TruncatedOperator",
+    "compression_norm",
+    "predicted_norm",
 )
 
 
