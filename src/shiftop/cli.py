@@ -96,10 +96,12 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     return dims
 
 
-def _eps_option(ctx, param, value: float) -> float:
-    """Reject an ``--eps`` no tail bound can honestly certify, before any work."""
+def _checked_option(ctx, param, value: float) -> float:
+    """Reject an ``--eps`` no tail bound can honestly certify, or a ``--tol``
+    out of range, before any work."""
+    check = invertibility._checked_eps if param.name == "eps" else invertibility._checked_tol
     try:
-        return invertibility._checked_eps(value)
+        return check(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc)) from None
 
@@ -272,7 +274,7 @@ def _inversion_block(f: WienerElement, classification, eps: float):
         return {
             "available": False,
             "reason": f"tail not certified within {exc.max_len} coefficients",
-            # the bound itself overflows for a high degree near the circle
+            # inf when the residual's l1 norm reaches 1 at the cap, as a root nears the circle
             "achieved_bound": bound if math.isfinite(bound) else None,
         }
     except np.linalg.LinAlgError:  # a numerical failure, not a missing inverse: exit 5
@@ -540,8 +542,8 @@ def main():
 @_symbol_options
 @click.option("--dims", default="4,16,64,256", show_default=True, help="Truncation dimensions.")
 @click.option("--grid", default=1 << 16, show_default=True, help="Circle grid size for sup norm.")
-@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_eps_option, help="Inverse tail certification target.")
+@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, callback=_checked_option, help="Root classification tolerance.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_checked_option, help="Inverse tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
@@ -560,8 +562,8 @@ def analyze_command(coeffs, coeffs_file, dims, grid, tol, eps, out):
     type=click.Choice(["auto", "causal", "anticausal"]),
     help="Which one-sided inverse to compute.",
 )
-@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
-@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_eps_option, help="Tail certification target.")
+@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, callback=_checked_option, help="Root classification tolerance.")
+@click.option("--eps", default=invertibility.DEFAULT_EPS, show_default=True, callback=_checked_option, help="Tail certification target.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def invert_command(coeffs, coeffs_file, side, tol, eps, out):
@@ -589,7 +591,7 @@ def invert_command(coeffs, coeffs_file, side, tol, eps, out):
     type=click.IntRange(min=0),
     help="Largest reconstruction cutoff.",
 )
-@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, help="Root classification tolerance.")
+@click.option("--tol", default=invertibility.DEFAULT_ROOT_TOL, show_default=True, callback=_checked_option, help="Root classification tolerance.")
 @click.option("--out", default="shiftop-out", show_default=True, type=click.Path(), help="Output directory.")
 @_exits
 def simulate_command(coeffs, coeffs_file, t_len, seed, sigma, max_lag, tol, out):

@@ -120,9 +120,10 @@ class RootClassification:
 class InversionResult:
     """A certified truncated inverse.
 
-    ``tail_bound`` bounds the l1 mass of the dropped coefficients, so
-    ``l1_norm(multiply(f, inverse) - 1)`` is at most ``tail_bound`` times
-    ``l1_norm(f)`` on the stored window.
+    ``tail_bound`` bounds the l1 mass of the dropped coefficients, taken from
+    the prefix's own residual with the stored coefficients treated as exact,
+    so ``l1_norm(multiply(f, inverse) - 1)`` is at most ``tail_bound`` times
+    ``l1_norm(f)`` up to rounding.
     """
 
     inverse: WienerElement
@@ -147,6 +148,14 @@ def _companion_eigenvalues(coeffs: tuple[complex, ...]) -> np.ndarray:
     return np.linalg.eigvals(companion)
 
 
+def _checked_tol(tol: float) -> float:
+    """``tol`` as a float in ``[MIN_ROOT_TOL, MAX_ROOT_TOL]``."""
+    tol = float(tol)
+    if not (MIN_ROOT_TOL <= tol <= MAX_ROOT_TOL):
+        raise ValueError(f"tol must lie in [{MIN_ROOT_TOL}, {MAX_ROOT_TOL}]")
+    return tol
+
+
 def classify_roots(f: WienerElement, tol: float = DEFAULT_ROOT_TOL) -> RootClassification:
     """Locate the roots of a causal polynomial symbol relative to the circle.
 
@@ -156,9 +165,7 @@ def classify_roots(f: WienerElement, tol: float = DEFAULT_ROOT_TOL) -> RootClass
     when no root lies inside or on it.  ``FloatingPointError`` when a root
     lies past float max, as for ``1 + 1e-310 z``.
     """
-    tol = float(tol)
-    if not (MIN_ROOT_TOL <= tol <= MAX_ROOT_TOL):
-        raise ValueError(f"tol must lie in [{MIN_ROOT_TOL}, {MAX_ROOT_TOL}]")
+    tol = _checked_tol(tol)
     if f.is_zero:
         raise ValueError("the zero polynomial has no root classification")
     if not f.is_causal:
@@ -199,62 +206,41 @@ def _series_inverse_prefix(coeffs: np.ndarray, length: int) -> np.ndarray:
     """First ``length`` coefficients of the formal power-series inverse.
 
     ``g_n = -(1/a_0) sum_{k=1..min(n,q)} a_k g_{n-k}`` is forward substitution
-    in ``T_L(f) g = e_0``: ``g`` is the first column of ``T_L(f)^{-1}``.
+    in ``T_L(f) g = e_0``: ``g`` is the first column of ``T_L(f)^{-1}``.  Its
+    leading coefficients do not depend on ``length``.
     """
     a = np.asarray(coeffs, dtype=complex)[:length]
     rhs = np.zeros((length, 1), dtype=complex)
     rhs[0] = 1.0
-    return _solve_unilateral(np.repeat(a[:, None], length, axis=1), rhs)[:, 0]
+    # the band in Fortran order, as LAPACK reads it, so f2py makes no copy
+    return _solve_unilateral(np.tile(a, (length, 1)).T, rhs)[:, 0]
 
 
-# Lengths in the first block of _certified_length; each next block is twice as long.
-_TAIL_BLOCK = 64
+_FIRST_PREFIX = 64  # the first prefix length of _series_inverse; each next is twice as long
 
 
-def _certified_length(rho: float, q: int, a0_abs: float, max_len: int, eps: float) -> tuple[int, float]:
-    """Smallest ``L <= max_len`` whose geometric tail bound is ``<= eps``, and that bound.
+def _prefix_bounds(a: np.ndarray, g: np.ndarray, start: int) -> np.ndarray:
+    """``B(L) = ||g_L||_1 ||r_L||_1 / (1 - ||r_L||_1)`` for ``L = start .. len(g)``.
 
-    Coefficientwise, ``|g_n| <= (1/|a_0|) C(n+q-1, q-1) rho**n`` (majorize
-    every factor ``(1 - z/r_i)**-1`` by the ``rho``-geometric series), so the
-    tail from ``L`` on is at most the leading term times ``(1 - rho)**-q``.
-    Its base-2 log is formed elementwise, so nothing overflows on the way; a
-    bound past float max reads ``inf``.  The log of the bound is concave in
-    ``L``, so its minimum over ``[1, max_len]`` lies at an end: when neither
-    end certifies, no length does, and that is decided from the two ends
-    alone.  Otherwise the lengths are scanned in blocks of doubling size
-    from ``_TAIL_BLOCK`` on, up to the first block that certifies, so the
-    cost follows the answer rather than ``max_len``; each bound is the same
-    float whichever block it falls in.
+    ``g_L`` is the first ``L`` coefficients of ``g``, and ``f g_L = 1 + r_L``
+    with ``r_{L,k} = sum_{j>k} a_j g_{L+k-j}`` at index ``L + k < L + q``.  When
+    ``||r_L||_1 < 1``, ``1/f = g_L (1 + r_L)^{-1}`` in the Wiener algebra, so
+    ``B(L)`` bounds ``||1/f - g_L||_W``; otherwise it is inf.  Each bound is
+    formed from its own ``L`` alone: the same float whatever ``start`` and ``len(g)``.
     """
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if rho >= 1.0:  # a computed root on or inside the circle: no geometric decay
-        raise TailNotCertifiedError(
-            f"no geometric tail bound: the largest 1/|root| is {rho:.17g}", math.inf, max_len
-        )
-    log2_rho = math.log2(rho)
-    log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
-
-    def bounds_at(lengths: np.ndarray) -> np.ndarray:
-        log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
-        with np.errstate(over="ignore"):  # a bound past float max reads inf
-            return np.exp2(log2_binomial + lengths * log2_rho - log2_scale)
-
-    first, last = bounds_at(np.array([1, max_len]))
-    start, size = 1, _TAIL_BLOCK
-    # neither end certifies: no length does, and no block is scanned
-    while (first <= eps or last <= eps) and start <= max_len:
-        lengths = np.arange(start, min(start + size, max_len + 1))
-        bounds = bounds_at(lengths)
-        certified = np.flatnonzero(bounds <= eps)
-        if len(certified):
-            return int(lengths[certified[0]]), float(bounds[certified[0]])
-        start, size = start + size, 2 * size
-    raise TailNotCertifiedError(
-        f"tail bound {last:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
-        float(last),
-        max_len,
-    )
+    q = len(a) - 1
+    padded = np.concatenate([np.zeros(q, dtype=complex), g, np.zeros(q, dtype=complex)])
+    count = len(g) + 1 - start
+    # partial[i] = sum_{j >= m} a_j g_{start + i - j}, so r_{L, m-1} = partial[L + m - 1 - start]
+    partial = np.zeros(count + q - 1, dtype=complex)
+    residual = np.zeros(count)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # an overflow reads inf
+        for m in range(q, 0, -1):
+            first = start - m + q  # g_{start - m}
+            partial += a[m] * padded[first : first + len(partial)]
+            residual += np.abs(partial[m - 1 : m - 1 + count])
+        prefix_l1 = np.cumsum(np.abs(g))[start - 1 :]
+        return np.where(residual < 1.0, prefix_l1 * residual / (1.0 - residual), math.inf)
 
 
 def invert_causal(
@@ -263,14 +249,17 @@ def invert_causal(
     """Truncated power-series inverse of an invertible causal symbol.
 
     The recursion ``g_0 = 1/a_0``, ``g_n = -(1/a_0) sum a_k g_{n-k}`` runs to
-    the first length whose geometric tail estimate (from the largest
-    ``1/|root|``) certifies l1 tail mass at most ``eps``.  Rejects symbols
-    whose verdict is not Invertible; raises :class:`TailNotCertifiedError`
-    when ``max_len`` is reached first, ``ValueError`` when a coefficient of
-    the inverse lies past float max (as for a subnormal ``a_0``).  The roots
-    are classified at ``MIN_ROOT_TOL``, the smallest tolerance any caller may
-    use, so a symbol Invertible at the caller's tolerance is Invertible here;
-    Borderline is the caller's verdict, made with its own tolerance.
+    the first length ``L`` whose prefix certifies itself, with no root: for
+    ``f g_L = 1 + r_L``, ``||g_L||_1 ||r_L||_1 / (1 - ||r_L||_1) <= eps``
+    bounds the l1 mass of the dropped coefficients.  The prefix is solved at
+    lengths 64, 128, ... up to ``max_len``, so with no certified length the
+    cost and memory follow ``max_len``.  Rejects symbols whose verdict is not
+    Invertible; raises :class:`TailNotCertifiedError` when ``max_len`` is
+    reached first, ``ValueError`` when a coefficient of the inverse lies past
+    float max (as for a subnormal ``a_0``).  The roots are classified at
+    ``MIN_ROOT_TOL``, the smallest tolerance any caller may use, so a symbol
+    Invertible at the caller's tolerance is Invertible here; Borderline is
+    the caller's verdict, made with its own tolerance.
     """
     classification = classify_roots(f, MIN_ROOT_TOL)
     if classification.verdict is not Verdict.INVERTIBLE:
@@ -278,7 +267,7 @@ def invert_causal(
             f"causal inversion needs verdict Invertible, got {classification.verdict.value}",
             classification,
         )
-    return _series_inverse(f, classification.roots, max_len, eps)
+    return _series_inverse(f, max_len, eps)
 
 
 def _checked_eps(eps: float) -> float:
@@ -290,22 +279,30 @@ def _checked_eps(eps: float) -> float:
     return eps
 
 
-def _series_inverse(f: WienerElement, roots, max_len: int, eps: float) -> InversionResult:
-    """The certified causal series inverse of ``f``, its tail bound taken from ``roots``."""
+def _series_inverse(f: WienerElement, max_len: int, eps: float) -> InversionResult:
+    """The certified causal series inverse of ``f``, to its first ``L`` with ``B(L) <= eps``."""
     eps = _checked_eps(eps)
+    max_len = int(max_len)
+    if max_len < 1:
+        raise ValueError("max_len must be at least 1")
     a = f.to_array()
-    q = len(a) - 1
-    if q == 0:
-        with np.errstate(over="ignore", invalid="ignore"):  # rejected below
-            length, bound, g = 1, 0.0, 1.0 / a
-    else:
-        with np.errstate(divide="ignore"):  # a root that underflowed to 0: rho = inf, uncertified
-            rho = float(max(1.0 / np.abs(roots)))
-        length, bound = _certified_length(rho, q, abs(a[0]), int(max_len), eps)
+    done, length = 0, min(_FIRST_PREFIX, max_len)
+    while True:
         g = _series_inverse_prefix(a, length)
-    if not np.all(np.isfinite(g)):
-        raise ValueError(f"inverse coefficients overflow float range (|a_0| = {abs(a[0]):.3g})")
-    return InversionResult(WienerElement(g), InversionSide.CAUSAL, length, bound)
+        if not np.all(np.isfinite(g)):
+            raise ValueError(f"inverse coefficients overflow float range (|a_0| = {abs(a[0]):.3g})")
+        bounds = _prefix_bounds(a, g, done + 1)
+        certified = np.flatnonzero(bounds <= eps)
+        if len(certified):
+            L, bound = done + 1 + int(certified[0]), float(bounds[certified[0]])
+            return InversionResult(WienerElement(g[:L]), InversionSide.CAUSAL, L, bound)
+        if length == max_len:
+            raise TailNotCertifiedError(
+                f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
+                float(bounds[-1]),
+                max_len,
+            )
+        done, length = length, min(2 * length, max_len)
 
 
 def invert_anticausal(
@@ -319,8 +316,8 @@ def invert_anticausal(
     ``<= -1``.  Rejects any root on or outside the circle, and rejects
     constants (their inverse would sit at index 0).  As in
     :func:`invert_causal`, the roots are classified at ``MIN_ROOT_TOL``; the
-    reversed polynomial is not classified again, and where its own computed
-    roots reach the circle, the tail is not certified.
+    reversed polynomial is not classified again, and its prefix certifies
+    itself from its own residual, with no root of its own.
     """
     classification = classify_roots(f, MIN_ROOT_TOL)
     if f.degree == 0:
@@ -336,7 +333,7 @@ def invert_anticausal(
         )
     d = f.degree
     reversed_f = WienerElement(f.to_array()[::-1])
-    causal = _series_inverse(reversed_f, _companion_eigenvalues(reversed_f.coeffs), max_len, eps)
+    causal = _series_inverse(reversed_f, max_len, eps)
     g = causal.inverse
     # c_{-d-m} = g_m, so the ascending-index storage is g reversed; g starts at
     # offset 0 (g_0 = 1/a_0 is nonzero) and may end early on trailing zeros

@@ -15,11 +15,10 @@ f-string per row, the reference for the block encoder in
 power-series inverse recursion one coefficient at a time, the reference for
 the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
 ``dense_inverse_norm`` takes ``||T_N(f)^{-1}||`` from a dense SVD of the
-Toeplitz matrix of that series.  ``certified_length_oracle`` walks the
-geometric tail bound one length at a time, the reference for the log-space
-``shiftop.invertibility._certified_length``, and ``certified_length_full_scan``
-forms the same log-space bound at every length up to ``max_len`` at once, the
-reference that the block scan must match bit for bit.
+Toeplitz matrix of that series.  ``prefix_bound_oracle`` forms the prefix
+``g_L``, its residual ``r_L`` and the bound ``||g_L|| ||r_L|| / (1 - ||r_L||)``
+in exact rational arithmetic, the reference for
+``shiftop.invertibility._prefix_bounds``.
 ``gram_eigenvalue_oracle`` bisects from the plain Gershgorin bracket, the
 reference for the estimated start of ``shiftop.operators._gram_eigenvalue``;
 ``ANALYZE_ROOT_CLASSES`` holds one symbol of each root class the benchmark's
@@ -46,11 +45,12 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from shiftop import wiener
-from shiftop.invertibility import TailNotCertifiedError, WideFloat
+from shiftop.invertibility import WideFloat
 from shiftop.operators import build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
@@ -207,46 +207,28 @@ ANALYZE_ROOT_CLASSES = {
 }
 
 
-def certified_length_oracle(rho: float, q: int, a0_abs: float, max_len: int, eps: float):
-    """``(L, bound)`` for the smallest ``L <= max_len`` with tail bound ``<= eps``, else None.
+def prefix_bound_oracle(coeffs, length: int) -> Fraction | None:
+    """``||g_L||_1 ||r_L||_1 / (1 - ||r_L||_1)`` for ``L = length``, exactly, or
+    None when ``||r_L||_1 >= 1``.
 
-    The bound ``C(L+q-1, q-1) rho**L / (|a_0| (1 - rho)**q)`` is updated
-    multiplicatively in ``L``; it may overflow to inf.
+    ``coeffs`` are the real floats ``a_0 .. a_q``, taken as exact rationals;
+    ``g_L`` runs the recursion ``g_n = -(1/a_0) sum a_k g_{n-k}`` in
+    ``Fraction`` arithmetic, and ``r_{L,k} = sum_{j>k} a_j g_{L+k-j}``.
     """
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        scale = 1.0 / (a0_abs * (1.0 - rho) ** q)
-        term = rho  # C(L+q-1, q-1) rho**L at L = 1
-        for j in range(1, q):
-            term *= (1 + j) / j
-        for length in range(1, max_len + 1):
-            bound = term * scale
-            if bound <= eps:
-                return length, bound
-            term *= rho * (length + q) / (length + 1)
-    return None
-
-
-def certified_length_full_scan(rho: float, q: int, a0_abs: float, max_len: int, eps: float):
-    """``_certified_length`` with the log-space bound formed at every length at once."""
-    if max_len < 1:
-        raise ValueError("max_len must be at least 1")
-    if rho >= 1.0:
-        raise TailNotCertifiedError(
-            f"no geometric tail bound: the largest 1/|root| is {rho:.17g}", math.inf, max_len
-        )
-    lengths = np.arange(1, max_len + 1)
-    log2_binomial = sum(np.log1p(lengths / j) for j in range(1, q)) / math.log(2.0)
-    log2_scale = math.log2(a0_abs) + q * math.log2(1.0 - rho)
-    with np.errstate(over="ignore"):
-        bounds = np.exp2(log2_binomial + lengths * math.log2(rho) - log2_scale)
-    certified = np.flatnonzero(bounds <= eps)
-    if len(certified):
-        return int(certified[0]) + 1, float(bounds[certified[0]])
-    raise TailNotCertifiedError(
-        f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
-        float(bounds[-1]),
-        max_len,
+    a = [Fraction(float(c)) for c in coeffs]
+    q = len(a) - 1
+    g = []
+    for n in range(length):
+        acc = Fraction(int(n == 0))
+        acc -= sum(a[k] * g[n - k] for k in range(1, min(n, q) + 1))
+        g.append(acc / a[0])
+    residual = sum(
+        abs(sum(a[j] * g[length + k - j] for j in range(k + 1, q + 1) if length + k - j >= 0))
+        for k in range(q)
     )
+    if residual >= 1:
+        return None
+    return sum(abs(x) for x in g) * residual / (1 - residual)
 
 
 def evaluate_on_grid_oracle(f: WienerElement, grid_size: int) -> np.ndarray:

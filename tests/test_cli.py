@@ -207,11 +207,12 @@ def test_analyze_report_is_strict_json(runner, tmp_path):
 
 
 def test_analyze_overflowing_tail_bound_is_null(runner, tmp_path):
-    # 1 - (z/r)**50 with r = 1.0003: the geometric tail bound after 65536
-    # coefficients overflows, and the report still parses as strict JSON
-    coeffs = ["1"] + ["0"] * 49 + [repr(-(1.0003**-50))]
+    # roots 1e-8 outside the circle at +-5e-4 rad: after 65536 coefficients
+    # ||r_L||_1 >= 1, so the bound is inf, and the report still parses as
+    # strict JSON
+    coeffs = "1,-1.999999730000008,0.9999999800000005"
     result = runner.invoke(
-        main, ["analyze", "--coeffs", ",".join(coeffs), "--dims", "64", "--out", str(tmp_path)]
+        main, ["analyze", "--coeffs", coeffs, "--dims", "64", "--out", str(tmp_path)]
     )
     assert result.exit_code == 0, result.output
     block = strict_json(tmp_path / "report.json")["inversion"]
@@ -450,6 +451,25 @@ def test_invalid_eps_is_rejected(runner, tmp_path, command, eps):
     result = runner.invoke(main, [command, "--coeffs", "1,-0.5", f"--eps={eps}", "--out", str(out)])
     assert result.exit_code == 2
     assert "'--eps'" in result.output and "positive finite number" in result.output
+    assert isinstance(result.exception, SystemExit)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "invert", "simulate"])
+def test_invalid_tol_is_rejected_before_any_work(runner, tmp_path, monkeypatch, command):
+    # simulate used to draw its paths first and fail in the classification,
+    # with a message that named no option
+    def no_path(*args, **kwargs):
+        raise AssertionError("a path was drawn")
+
+    monkeypatch.setattr(process, "simulate", no_path)
+    out = tmp_path / "out"
+    argv = [command, "--coeffs", "1,0.5", "--tol", "1", "--out", str(out)]
+    if command == "simulate":
+        argv += ["--T", "3000000"]
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2, result.output
+    assert "'--tol'" in result.output and "tol must lie in [1e-12, 0.0001]" in result.output
     assert isinstance(result.exception, SystemExit)
     assert not out.exists()
 
@@ -886,12 +906,16 @@ def test_floating_point_error_exits_5(runner, tmp_path, monkeypatch, command):
 
 
 @pytest.mark.parametrize(
-    "argv", [["analyze", "--dims", "4"], ["invert"]], ids=["analyze", "invert"]
+    "argv, subnormal_code",
+    [(["analyze", "--dims", "4"], 5), (["invert"], 0)],
+    ids=["analyze", "invert"],
 )
-def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
-    # the root of 1e-310 + z has subnormal modulus: 1/|root| overflows, and so
-    # does the power-of-two scaling of the reversed polynomial 1 + 1e-310 z
-    for coeffs, code in (("1e-310,1", 5), ("1e-300,1", 0)):
+def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv, subnormal_code):
+    # the root of 1e-310 + z has subnormal modulus: analyze's triangular
+    # inverse norm scales by 1/|root|, which overflows; invert takes no root
+    # of the reversed polynomial 1 + 1e-310 z, whose one-coefficient prefix
+    # certifies itself with bound 1e-310
+    for coeffs, code in (("1e-310,1", subnormal_code), ("1e-300,1", 0)):
         out = tmp_path / coeffs
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -900,6 +924,9 @@ def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert out.exists() == (code == 0)
         assert ("numerical failure: overflow encountered in" in result.output) == (code == 5)
+    if argv == ["invert"]:
+        document = strict_json(tmp_path / "1e-310,1" / "inverse.json")
+        assert document["truncation_len"] == 1 and document["tail_bound"] <= 1e-310
 
 
 @pytest.mark.parametrize(
@@ -917,8 +944,10 @@ def test_subnormal_root_exits_5_without_warnings(runner, tmp_path, argv):
         (["analyze", "--coeffs", "8.664258317309054e-105,-9.922838419073684e-253,"
           "-9.672571769355457e-74,-4.2936626132012483e-259", "--dims", "8"], 5,
          "numerical failure: underflow encountered in the inverse norm's scalings"),
-        # a root of the reversed polynomial underflows to 0: no tail bound
-        (["invert", "--coeffs", "1e-30,1e200,0,1e220"], 4, "tail not certified: bound inf"),
+        # a root of the reversed polynomial would underflow to 0; its prefix
+        # certifies itself at one coefficient
+        (["invert", "--coeffs", "1e-30,1e200,0,1e220"], 0,
+         "anticausal inverse, 1 coefficients, tail bound 1e-240"),
         # the sample path stays finite, but the sum behind its ergodic mean overflows
         (["simulate", "--coeffs", "1,0,-3e307", "--T", "50"], 2,
          "error: the sample mean over T = 12 lies past float max"),

@@ -81,6 +81,8 @@ def test_removed_names_stay_gone():
     assert [n for n in ("SEED_ENV_VAR", "INVERT_MAX_LEN", "InputError") if hasattr(cli, n)] == []
     process = importlib.import_module("shiftop.process")
     assert [n for n in ("_pairwise_leaves", "_pairwise_total") if hasattr(process, n)] == []
+    invertibility = importlib.import_module("shiftop.invertibility")
+    assert [n for n in ("_certified_length", "_TAIL_BLOCK") if hasattr(invertibility, n)] == []
 
 
 _NOQA_F401 = re.compile(r"#\s*noqa(?!:)|#\s*noqa:[\w\s,]*\bF401\b")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 from click.testing import CliRunner
-from hypothesis import assume, example, given, seed, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack, solve_triangular
@@ -29,9 +29,8 @@ from shiftop.wiener import ONE, ZERO, WienerElement
 
 from oracles import (
     ANALYZE_ROOT_CLASSES,
-    certified_length_full_scan,
-    certified_length_oracle,
     dense_inverse_norm,
+    prefix_bound_oracle,
     series_inverse_oracle,
     wide_log10,
 )
@@ -221,105 +220,78 @@ def test_invert_tail_certificate_failure():
     assert ok.tail_bound <= 1e-10
 
 
-def test_certified_length_matches_stepwise_oracle():
-    # the log-space certificate picks the same length as a multiplicative
-    # walk over L, and its bound agrees to rounding
+def test_prefix_bound_matches_exact_rational_oracle():
+    # the float bound at the certified length, and at every shorter one,
+    # agrees with B(L) formed in exact arithmetic; the length is the first
+    # whose exact bound reaches eps
     rng = np.random.default_rng(36)
-    for _ in range(200):
-        rho = 1 - 10 ** rng.uniform(-3, -0.05)
-        q = int(rng.integers(1, 9))
-        a0 = 10 ** rng.uniform(-3, 3)
-        eps = 10 ** rng.uniform(-14, -4)
-        expected = certified_length_oracle(rho, q, a0, 4096, eps)
-        if expected is None:
-            with pytest.raises(TailNotCertifiedError):
-                inv._certified_length(rho, q, a0, 4096, eps)
-            continue
-        length, bound = inv._certified_length(rho, q, a0, 4096, eps)
-        assert length == expected[0]
-        assert bound == pytest.approx(expected[1], rel=1e-12)
+    for _ in range(40):
+        q = int(rng.integers(1, 4))
+        roots = rng.choice((-1, 1), q) * rng.uniform(1.5, 4.0, q)
+        coeffs = np.real(from_roots(roots).to_array()) * 10 ** rng.uniform(-2, 2)
+        eps = 10 ** rng.uniform(-12, -4)
+        r = invert_causal(WienerElement(tuple(coeffs)), eps=eps)
+        floats = inv._prefix_bounds(coeffs.astype(complex), r.inverse.to_array(), 1)
+        for length, bound in enumerate(floats, start=1):
+            exact = prefix_bound_oracle(coeffs, length)
+            if exact is None:
+                assert bound == math.inf
+            else:
+                assert bound == pytest.approx(float(exact), rel=1e-12, abs=0)
+        assert r.tail_bound == floats[-1] <= eps
+        before = prefix_bound_oracle(coeffs, r.truncation_len - 1)
+        assert r.truncation_len == 1 or before is None or before > eps * (1 - 1e-11)
 
 
-def _tail_outcome(scan, *args):
-    """``(length, bound bits)``, or the error's message and achieved bound."""
+def _inversion_outcome(invert, f, **kwargs):
+    """``(length, bound bits, coefficients)``, or the error's message and achieved bound."""
     try:
-        length, bound = scan(*args)
+        r = invert(f, **kwargs)
     except TailNotCertifiedError as exc:
-        return str(exc), exc.achieved_bound, exc.max_len
-    return length, bound.hex()
+        return str(exc), exc.achieved_bound.hex(), exc.max_len
+    return r.truncation_len, r.tail_bound.hex(), r.inverse
 
 
-def _tail_block_edges(limit: int) -> list[int]:
-    """The last length of each block of the block scan, up to ``limit``."""
-    edges, end, size = [], 0, inv._TAIL_BLOCK
-    while end + size <= limit:
-        end, size = end + size, 2 * size
-        edges.append(end)
-    return edges
+@pytest.mark.parametrize("first", [1, 7, inv.DEFAULT_MAX_LEN])
+def test_certified_length_does_not_depend_on_the_growth_schedule(monkeypatch, first):
+    # a solve's leading coefficients and each B(L) do not depend on the
+    # prefix length, so the first certified L is the same whatever lengths
+    # the prefix grows through
+    cases = [
+        (invert_causal, from_roots([polar(1.004, 0.3), polar(1.01, -2.0), 1.003]), {}),
+        (invert_anticausal, from_roots([polar(0.996, 1.2), polar(0.99, -0.4)]), {}),
+        (invert_causal, WienerElement((1, -0.5)), {"max_len": 30}),
+        (invert_causal, from_roots([polar(1.0004, 0.5), polar(1.0004, 2.5)]), {}),
+    ]
+    expected = [_inversion_outcome(invert, f, **kw) for invert, f, kw in cases]
+    monkeypatch.setattr(inv, "_FIRST_PREFIX", first)
+    assert [_inversion_outcome(invert, f, **kw) for invert, f, kw in cases] == expected
+    assert isinstance(expected[0][0], int) and isinstance(expected[-1][0], str)
 
 
-_TAIL_EDGES = _tail_block_edges(inv.DEFAULT_MAX_LEN)
-
-
-@seed(21)
-@settings(max_examples=200, deadline=None)
-@given(
-    rho=st.one_of(
-        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
-        st.floats(1.0, 17.0).map(lambda k: 1.0 - 10.0**-k),  # near 1, and 1 itself
-    ),
-    q=st.one_of(st.just(1), st.integers(1, 40)),
-    a0=st.floats(-300.0, 300.0).map(lambda k: 10.0**k),
-    eps=st.floats(-300.0, 0.0).map(lambda k: 10.0**k),
-    max_len=st.one_of(
-        st.integers(1, inv.DEFAULT_MAX_LEN),
-        st.sampled_from(_TAIL_EDGES).flatmap(lambda e: st.sampled_from((e - 1, e, e + 1))),
-    ),
-)
-@example(rho=1 - 1e-16, q=30, a0=1.0, eps=1e-10, max_len=1000)  # every bound is inf
-@example(rho=0.5, q=1, a0=1.0, eps=2.0**-64, max_len=_TAIL_EDGES[0])
-# the shortest caps: one length, or the answer at either end
-@example(rho=0.5, q=1, a0=1.0, eps=1e-10, max_len=1)
-@example(rho=0.5, q=1, a0=1.0, eps=0.5, max_len=2)
-@example(rho=0.5, q=1, a0=1.0, eps=0.25, max_len=3)
-@example(rho=0.5, q=3, a0=1.0, eps=1e-10, max_len=3)
-@example(rho=0.5, q=2, a0=1e3, eps=1e-2, max_len=3)
-# rho one ulp below 1: (1 - rho)**-q = 2**(53 q)
-@example(rho=1 - 2.0**-53, q=1, a0=1.0, eps=1e-10, max_len=inv.DEFAULT_MAX_LEN)
-@example(rho=1 - 2.0**-53, q=1, a0=1e300, eps=1e-280, max_len=inv.DEFAULT_MAX_LEN)
-def test_block_tail_length_matches_full_scan_property(rho, q, a0, eps, max_len):
-    # the same length and bound bits, or the same error, whichever block the answer falls in
-    args = (rho, q, a0, max_len, eps)
-    assert _tail_outcome(inv._certified_length, *args) == _tail_outcome(
-        certified_length_full_scan, *args
-    )
-
-
-@pytest.mark.parametrize("q", [1, 3, 30])
-def test_block_tail_length_at_each_block_edge(q):
-    # eps is the bound at a length next to a block edge, and max_len sits at
-    # the edge and next to it; for q = 1 the bound falls with the length, so
-    # the answer lands on that length
-    rho, a0 = 0.9995, 1.0
-    for edge in _TAIL_EDGES:
-        for length in (edge - 1, edge, edge + 1):
-            eps = _tail_outcome(certified_length_full_scan, rho, q, a0, length, 0.0)[1]
-            for max_len in (edge - 1, edge, edge + 1, inv.DEFAULT_MAX_LEN):
-                args = (rho, q, a0, max_len, eps)
-                outcome = _tail_outcome(inv._certified_length, *args)
-                assert outcome == _tail_outcome(certified_length_full_scan, *args)
-                if q == 1 and max_len >= length:
-                    assert outcome == (length, eps.hex())
-
-
-@pytest.mark.parametrize("q", [50, 200])
-def test_tail_bound_past_float_max_reads_inf(q):
-    # 1 - (z/1.0003)**q: C(L+q-1, q-1) / (1 - rho)**q passes float max; the
-    # bound reads inf, and no overflow warning is raised on the way
-    f = WienerElement((1,) + (0,) * (q - 1) + (-(1.0003**-q),))
+@pytest.mark.parametrize("max_len", [50, 200, inv.DEFAULT_MAX_LEN])
+def test_tail_bound_past_float_max_reads_inf(max_len):
+    # roots 1e-8 outside the circle at +-5e-4 rad: the prefix grows about
+    # linearly past the cap, so ||r_L||_1 >= 1 there; the bound reads inf,
+    # and no overflow warning is raised on the way
+    f = WienerElement((1, -1.999999730000008, 0.9999999800000005))
     with pytest.raises(TailNotCertifiedError) as excinfo:
-        invert_causal(f, max_len=65536)
+        invert_causal(f, max_len=max_len)
     assert excinfo.value.achieved_bound == math.inf
+    assert excinfo.value.max_len == max_len
+
+
+def test_anticausal_inversion_finds_the_roots_once(monkeypatch):
+    # the reversed polynomial's prefix certifies itself: no second eigensolve
+    eigenvalues, calls = inv._companion_eigenvalues, []
+
+    def counted(coeffs):
+        calls.append(coeffs)
+        return eigenvalues(coeffs)
+
+    monkeypatch.setattr(inv, "_companion_eigenvalues", counted)
+    invert_anticausal(WienerElement((1, -2)))
+    assert len(calls) == 1
 
 
 # -- anticausal inversion ---------------------------------------------------------
@@ -342,8 +314,7 @@ def test_anticausal_window_example():
     assert wiener.l1_norm(product - ONE) == r.tail_bound
 
 
-@settings(max_examples=150, deadline=None)
-@given(
+_residual_cases = given(
     roots=st.lists(
         st.tuples(st.floats(0.02, 0.97), st.floats(-math.pi, math.pi)), min_size=1, max_size=4
     ),
@@ -351,20 +322,36 @@ def test_anticausal_window_example():
     angle=st.floats(-math.pi, math.pi),
     log_eps=st.floats(-15, -6),
 )
-def test_anticausal_residual_within_certificate_property(roots, log_scale, angle, log_eps):
+
+
+def _assert_residual_within_certificate(invert, roots, log_scale, angle, log_eps):
     # f g - 1 = -f (1/f - g) on the dropped tail, so ||f g - 1||_1 is at most
     # ||f||_1 tail_bound, plus rounding: forward substitution leaves a
     # residual of (q + 1) u |f| |g| and the product rounds as much again, and
     # complex arithmetic doubles both; the allowance is 4 (q + 1) u ||f||_1 ||g||_1
     f = from_roots([polar(r, t) for r, t in roots]) * (10.0**log_scale * cmath.exp(1j * angle))
     try:
-        r = invert_anticausal(f, max_len=1 << 14, eps=10.0**log_eps)
+        r = invert(f, max_len=1 << 14, eps=10.0**log_eps)
     except TailNotCertifiedError:
         assume(False)
     residual = wiener.l1_norm(wiener.multiply(f, r.inverse) - ONE)
     l1_f, l1_g = wiener.l1_norm(f), wiener.l1_norm(r.inverse)
     allowance = 4 * len(f.coeffs) * (np.finfo(float).eps / 2) * l1_f * l1_g
     assert residual <= l1_f * r.tail_bound + allowance
+
+
+@settings(max_examples=150, deadline=None)
+@_residual_cases
+def test_anticausal_residual_within_certificate_property(roots, log_scale, angle, log_eps):
+    _assert_residual_within_certificate(invert_anticausal, roots, log_scale, angle, log_eps)
+
+
+@settings(max_examples=150, deadline=None)
+@_residual_cases
+def test_causal_residual_within_certificate_property(roots, log_scale, angle, log_eps):
+    # the same symbols with each root r taken to 1/r, outside the circle
+    roots = [(1.0 / r, t) for r, t in roots]
+    _assert_residual_within_certificate(invert_causal, roots, log_scale, angle, log_eps)
 
 
 def test_anticausal_monomial():
