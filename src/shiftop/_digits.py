@@ -110,6 +110,20 @@ _FAST_MIN, _FAST_MAX = 1e-270, 1e290
 _SURE = 2.0**-30  # against an error below 1e-14 in the digit arithmetic
 
 
+def _rounding(integer, frac, half_ulp, q: int):
+    """``P = integer + frac`` rounded at ``q``: ``(head, up, gap, close)``.
+
+    The rounding is ``(head + up) * q``; it reads back where ``gap < 0``, and
+    ``close`` marks a tie or read-back decision within ``_SURE`` of its threshold.
+    """
+    head, rest = _divmod(integer, q)
+    tie = (rest - q / 2) + frac  # rounds up above 0
+    up = tie > 0
+    # distance of the rounding from P, less the half-ulp: below 0 reads back
+    gap = (np.where(up, q - rest, rest) - half_ulp) + np.where(up, -frac, frac)
+    return head, up, gap, (np.abs(tie) < _SURE) | (np.abs(gap) < _SURE)
+
+
 def _shortest_decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The shortest round-trip decimal of each ``ax`` in [1e-270, 1e290): ``(n, e, sure)``.
 
@@ -139,17 +153,20 @@ def _shortest_decimal(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarra
     tie = frac - 0.5  # 17 digits, P rounded to an integer, always read back
     n = integer + (tie > 0)
     sure &= np.abs(tie) >= _SURE
-    # refused values leave the loop: the 1.0 standing in for a zero fits at every length
-    live = np.flatnonzero(sure)
+    # k = 16 and 15 run on the whole block under the mask of values still in
+    # the count, since most values leave there; refused values are out of it
+    fits = sure.copy()
+    for k in (16, 15):
+        head, up, gap, close = _rounding(integer, frac, half_ulp, 10 ** (17 - k))
+        sure &= ~(close & fits)
+        fits &= gap < 0
+        np.copyto(n, (head + up) * 10 ** (17 - k), where=fits)
+    # the few values that fit at 15 digits are compacted for the rest of the count
+    live = np.flatnonzero(fits)
     integer, frac, half_ulp = integer[live], frac[live], half_ulp[live]
-    for k in range(16, 0, -1):
+    for k in range(14, 0, -1):
         q = 10 ** (17 - k)
-        head, rest = _divmod(integer, q)
-        tie = (rest - q / 2) + frac  # rounds up above 0
-        up = tie > 0
-        # distance of the rounding from P, less the half-ulp: below 0 reads back
-        gap = (np.where(up, q - rest, rest) - half_ulp) + np.where(up, -frac, frac)
-        close = (np.abs(tie) < _SURE) | (np.abs(gap) < _SURE)
+        head, up, gap, close = _rounding(integer, frac, half_ulp, q)
         if close.any():
             sure[live[close]] = False
         fits = gap < 0

@@ -123,10 +123,10 @@ def _replacing(path: Path):
         raise
 
 
-def _write_text(path: Path, text: str) -> None:
-    """Write ``text`` through a temporary file."""
+def _write_text(path: Path, text: bytes) -> None:
+    """Write the encoded ``text`` through a temporary file."""
     with _replacing(path) as handle:
-        handle.write(text.encode())
+        handle.write(text)
 
 
 def _csv_text(header: str, rows) -> str:
@@ -141,66 +141,68 @@ def _csv_text(header: str, rows) -> str:
     return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
-def _json_text(document) -> str:
-    """``json.dumps(document, indent=2, allow_nan=False)`` and a newline, byte for byte.
+def _json_text(document) -> bytearray:
+    """``json.dumps(document, indent=2, allow_nan=False)`` and a newline, as ASCII bytes.
 
     Strict JSON (RFC 8259): NaN or infinity raises ``ValueError``.  Besides
     the JSON types (``dict`` with ``str`` keys, ``list``, ``tuple``, ``str``,
     ``int``, ``float``, ``bool`` and ``None``) it writes a :class:`WideFloat`
     as its float, or past float max as its decimal literal, and a 1-D
-    complex ndarray as a list of (real part, imaginary part) pairs.
+    complex ndarray as a list of (real part, imaginary part) pairs.  The
+    document is laid out in one growing buffer, so the largest temporary is
+    the text itself.
     """
-    parts: list[str] = []
-    _encode(document, "\n", parts)
-    parts.append("\n")
-    return "".join(parts)
+    text = bytearray()
+    _encode(document, b"\n", text)
+    text += b"\n"
+    return text
 
 
-def _encode(value, newline: str, parts: list[str]) -> None:
-    """Append the text of ``value`` to ``parts``; ``newline`` opens a line at its depth."""
+def _encode(value, newline: bytes, text: bytearray) -> None:
+    """Append the text of ``value`` to ``text``; ``newline`` opens a line at its depth."""
     if isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
+        text += encode_basestring_ascii(value).encode()
     elif value is None:
-        parts.append("null")
+        text += b"null"
     elif value is True:
-        parts.append("true")
+        text += b"true"
     elif value is False:
-        parts.append("false")
+        text += b"false"
     elif isinstance(value, int):
-        parts.append(int.__repr__(value))
+        text += int.__repr__(value).encode()
     elif isinstance(value, float):
         if not math.isfinite(value):
             raise ValueError(f"Out of range float values are not JSON compliant: {value!r}")
-        parts.append(float.__repr__(value))
+        text += float.__repr__(value).encode()
     elif isinstance(value, WideFloat):
         number = float(value)
-        parts.append(value.text() if math.isinf(number) else float.__repr__(number))
+        text += (value.text() if math.isinf(number) else float.__repr__(number)).encode()
     elif isinstance(value, np.ndarray):
-        parts.append(_pairs_text(value, newline))
+        _pairs_text(value, newline, text)
     elif isinstance(value, (list, tuple)):
         if not value:
-            parts.append("[]")
+            text += b"[]"
             return
-        inner = newline + "  "
-        parts.append("[")
+        inner = newline + b"  "
+        text += b"["
         for item in value:
-            parts.append(inner)
-            _encode(item, inner, parts)
-            parts.append(",")
-        parts[-1] = newline + "]"
+            text += inner
+            _encode(item, inner, text)
+            text += b","
+        text[-1:] = newline + b"]"  # in place of the last ","
     elif isinstance(value, dict):
         if not value:
-            parts.append("{}")
+            text += b"{}"
             return
-        inner = newline + "  "
-        parts.append("{")
+        inner = newline + b"  "
+        text += b"{"
         for key, item in value.items():
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
-            parts.append(f"{inner}{encode_basestring_ascii(key)}: ")
-            _encode(item, inner, parts)
-            parts.append(",")
-        parts[-1] = newline + "}"
+            text += b"%s%s: " % (inner, encode_basestring_ascii(key).encode())
+            _encode(item, inner, text)
+            text += b","
+        text[-1:] = newline + b"}"
     else:
         raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
@@ -212,8 +214,9 @@ def _encode(value, newline: str, parts: list[str]) -> None:
 _PAIR_BLOCK = 2048
 
 
-def _pairs_text(values: np.ndarray, newline: str) -> str:
-    """A 1-D complex array as a list of (real, imaginary) pairs, as ``json.dumps`` writes it.
+def _pairs_text(values: np.ndarray, newline: bytes, text: bytearray) -> None:
+    """Append a 1-D complex array to ``text`` as a list of (real, imaginary)
+    pairs, as ``json.dumps`` writes it.
 
     Each float is the text of ``float.__repr__``, in a cell from
     :func:`shiftop._digits._repr_cells`, the layouter of ``sample.csv``'s cells
@@ -225,22 +228,24 @@ def _pairs_text(values: np.ndarray, newline: str) -> str:
     if values.ndim != 1 or values.dtype != complex:
         raise TypeError(f"expected a 1-D complex array, got {values.dtype} of shape {values.shape}")
     if not len(values):
-        return "[]"
+        text += b"[]"
+        return
     if not np.all(np.isfinite(values)):
         raise ValueError("Out of range float values are not JSON compliant")
-    inner = newline + "  "
+    inner = newline + b"  "
     segments = [
-        np.frombuffer(part.encode().ljust(-(-len(part) // 8) * 8, b"\0"), dtype="<u8")
-        for part in (f",{inner}[{inner}  ", f",{inner}  ", f"{inner}]")
+        np.frombuffer(part.ljust(-(-len(part) // 8) * 8, b"\0"), dtype="<u8")
+        for part in (b",%s[%s  " % (inner, inner), b",%s  " % inner, inner + b"]")
     ]
     blank = np.zeros(_CELL_WORDS, dtype="<u8")
     template = np.concatenate([segments[0], blank, segments[1], blank, segments[2]])
     x = len(segments[0])
     y = x + _CELL_WORDS + len(segments[1])
     floats = np.ascontiguousarray(values).view(float)
-    # one growing buffer: block strings kept in a list interleave with the
-    # block temporaries on the heap, and the peak RSS creeps up pass by pass
-    text = bytearray(b"[")
+    # the blocks go straight to the growing buffer: block strings kept in a
+    # list interleave with the block temporaries on the heap, and the peak
+    # RSS creeps up pass by pass
+    text += b"["
     for start in range(0, len(floats), 2 * _PAIR_BLOCK):
         cells = _repr_cells(floats[start : start + 2 * _PAIR_BLOCK]).reshape(-1, 2 * _CELL_WORDS)
         rows = np.empty((len(cells), len(template)), dtype="<u8")
@@ -250,8 +255,7 @@ def _pairs_text(values: np.ndarray, newline: str) -> str:
         if not start:
             rows.view(np.uint8)[0, 0] = 0  # no ',' before the first pair
         text += rows.tobytes().translate(None, b"\0")
-    text += (newline + "]").encode()
-    return text.decode("ascii")
+    text += newline + b"]"
 
 
 def _invert(f: WienerElement, side: InversionSide, eps: float):
@@ -343,7 +347,7 @@ def cmd_analyze(
     _write_text(out / "report.json", _json_text(report))
     _write_text(
         out / "isometry.csv",
-        _csv_text("N,norm,gap", [(r.dim, r.norm, r.gap) for r in sweep]),
+        _csv_text("N,norm,gap", [(r.dim, r.norm, r.gap) for r in sweep]).encode(),
     )
     # a missing inverse norm (singular matrix) reads inf where report.json has null
     asym_rows = [
@@ -357,7 +361,7 @@ def cmd_analyze(
         _csv_text(
             "N,norm_circulant_inverse,norm_triangular_inverse,cond_circulant,cond_triangular",
             asym_rows,
-        ),
+        ).encode(),
     )
     click.echo(
         f"verdict {classification.verdict.value}: "
@@ -387,7 +391,7 @@ def cmd_invert(f: WienerElement, side: str, tol: float, eps: float, out: Path) -
         click.echo(
             "error: roots on both sides of the circle "
             f"({classification.inside} inside, {classification.outside} outside); "
-            "no one-sided inverse exists",
+            "no causal or anticausal series inverse exists",
             err=True,
         )
         return EXIT_INPUT_ERROR
@@ -467,10 +471,10 @@ def cmd_simulate(
         _csv_text(
             "T,abs_mean,predicted_std",
             [(r.t_len, r.abs_mean, r.predicted_std) for r in ergodic_rows],
-        ),
+        ).encode(),
     )
     if table_name is not None:
-        _write_text(out / table_name, _csv_text("M,mse", report.mse_per_cutoff))
+        _write_text(out / table_name, _csv_text("M,mse", report.mse_per_cutoff).encode())
     _write_text(out / "metadata.json", _json_text(metadata))
     click.echo(
         f"simulated {t_len} steps (seed {seed}, sigma {sigma:.6g}), verdict {verdict.value}"

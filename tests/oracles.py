@@ -18,7 +18,12 @@ the banded solve in ``shiftop.invertibility._series_inverse_prefix``, and
 Toeplitz matrix of that series.  ``prefix_bound_oracle`` forms the prefix
 ``g_L``, its residual ``r_L`` and the bound ``||g_L|| ||r_L|| / (1 - ||r_L||)``
 in exact rational arithmetic, the reference for
-``shiftop.invertibility._prefix_bounds``.
+``shiftop.invertibility._prefix_norms`` and ``_prefix_bounds``.
+``doubling_series_inverse`` certifies the series inverse from prefixes
+solved at lengths 64, 128, ... up to ``max_len``, the reference for the
+predicted prefix lengths of ``shiftop.invertibility._series_inverse``;
+``NEAR_CIRCLE_ROOT_CLASSES`` holds one symbol of each class the
+benchmark's near_circle workload inverts.
 ``gram_eigenvalue_oracle`` bisects from the plain Gershgorin bracket, the
 reference for the estimated start of ``shiftop.operators._gram_eigenvalue``;
 ``ANALYZE_ROOT_CLASSES`` holds one symbol of each root class the benchmark's
@@ -49,8 +54,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from shiftop import wiener
-from shiftop.invertibility import WideFloat
+from shiftop import invertibility, wiener
+from shiftop.invertibility import InversionResult, InversionSide, TailNotCertifiedError, WideFloat
 from shiftop.operators import build_unilateral
 from shiftop.process import ProcessSample
 from shiftop.wiener import WienerElement
@@ -148,6 +153,31 @@ def series_inverse_oracle(coeffs, length: int) -> np.ndarray:
     return g
 
 
+def doubling_series_inverse(f: WienerElement, max_len: int, eps: float) -> InversionResult:
+    """The first ``L`` with ``B(L) <= eps``, from prefixes solved at lengths
+    64, 128, ... up to ``max_len``, each solved whole.
+
+    Raises :class:`TailNotCertifiedError` with ``B(max_len)`` when no length
+    certifies.
+    """
+    a = f.to_array()
+    done, length = 0, min(64, max_len)
+    while True:
+        g = invertibility._series_inverse_prefix(a, length)
+        bounds = invertibility._prefix_bounds(*invertibility._prefix_norms(a, g, done + 1))
+        certified = np.flatnonzero(bounds <= eps)
+        if len(certified):
+            L, bound = done + 1 + int(certified[0]), float(bounds[certified[0]])
+            return InversionResult(WienerElement(g[:L]), InversionSide.CAUSAL, L, bound)
+        if length == max_len:
+            raise TailNotCertifiedError(
+                f"tail bound {bounds[-1]:.3e} after {max_len} coefficients exceeds eps = {eps:.3e}",
+                float(bounds[-1]),
+                max_len,
+            )
+        done, length = length, min(2 * length, max_len)
+
+
 def dense_inverse_norm(f: WienerElement, dim: int) -> float:
     """``||T_N(f)^{-1}||`` from a dense SVD of ``T_N(1/f)``; inf once the series overflows.
 
@@ -204,6 +234,26 @@ ANALYZE_ROOT_CLASSES = {
     ),
     "on_circle": WienerElement((1.0, -0.6875, -0.3125)),
     "inside_third": _from_roots([cmath.rect(0.33, -2.0)]),
+}
+
+
+# One symbol of each class of the benchmark's near_circle workload, its roots
+# at the planted distances from the circle and at fixed angles: one to three
+# roots 1e-3 to 1e-2 outside (causal) or inside (anticausal) it, and two roots
+# 4e-4 outside, whose tail is not certified within 65536 coefficients at eps
+# 1e-10.  anticausal_d3's roots lie within 0.08 rad of each other.
+NEAR_CIRCLE_ROOT_CLASSES = {
+    "causal_d1": _from_roots([cmath.rect(1.001, -2.01)]),
+    "anticausal_d1": _from_roots([cmath.rect(0.999, -3.12)]),
+    "causal_d2": _from_roots([cmath.rect(1.003, -0.28), cmath.rect(1.01, 1.0)]),
+    "anticausal_d2": _from_roots([cmath.rect(0.99, 0.14), cmath.rect(0.997, -0.98)]),
+    "causal_d3": _from_roots(
+        [cmath.rect(1.003, -1.97), cmath.rect(1.005, 2.72), cmath.rect(1.01, 0.5)]
+    ),
+    "anticausal_d3": _from_roots(
+        [cmath.rect(0.99, -1.62), cmath.rect(0.995, -1.54), cmath.rect(0.997, -1.56)]
+    ),
+    "uncertified_d2": _from_roots([cmath.rect(1.0004, 0.81), cmath.rect(1.0004, -2.95)]),
 }
 
 

@@ -172,8 +172,8 @@ def test_analyze_writes_out_of_range_norms_as_decimal_literals(runner, tmp_path)
     text = (tmp_path / "report.json").read_text()
     asymmetry = text[text.index('"asymmetry"') :]
     # within float range the value is the float itself, written as its repr
-    assert cli._json_text({"x": WideFloat.of(0.1)}) == '{\n  "x": 0.1\n}\n'
-    assert cli._json_text({"x": None}) == '{\n  "x": null\n}\n'
+    assert cli._json_text({"x": WideFloat.of(0.1)}) == b'{\n  "x": 0.1\n}\n'
+    assert cli._json_text({"x": None}) == b'{\n  "x": null\n}\n'
     row_text = asymmetry[asymmetry.index('"N": 1030,') :]
     literal = re.search(r'"norm_triangular_inverse": (\d\.\d+e\+\d+),\n', row_text).group(1)
     expected = decimal.Decimal(4) / 3 * decimal.Decimal(2) ** 1029

@@ -57,3 +57,26 @@ def test_every_template_key_matches_the_python_text(rule):
     assert len(values) == 2 * ((plain_end + 4) * 17 + 7)
     got = cells(np.array(values)).view(np.uint8).reshape(len(values), -1)
     assert [c.tobytes().replace(b"\0", b"").decode() for c in got] == [text(x) for x in values]
+
+
+def _digit_count(x: float) -> int:
+    return len(Decimal(repr(x)).normalize().as_tuple().digits)
+
+
+def test_repr_cells_mix_long_short_and_refused_values():
+    # the 16- and 15-digit tests run on the whole block under a mask, and only
+    # values that fit at 15 digits go on: every kind of value, interleaved
+    rng = random.Random(27)
+    by_digits = {17: [], 16: [], 15: []}
+    while min(map(len, by_digits.values())) < 40:
+        k = rng.choice(list(by_digits))
+        x = float(f"{rng.randint(10 ** (k - 1), 10**k - 1)}e{rng.randint(-40, 40)}")
+        if _digit_count(x) in by_digits and len(by_digits[_digit_count(x)]) < 40:
+            by_digits[_digit_count(x)].append(x)
+    short = [0.5, 1.25, 0.1, 1e-7, 123.0]
+    refused = [2.0**-30, 1.0, 2.0**60, 5e-324, 1e-310, 2.2250738585072014e-308, 1e291, 1.5e300, 0.0]
+    values = [x for group in by_digits.values() for x in group] + short * 4 + refused * 4
+    rng.shuffle(values)
+    values += [-x for x in values]
+    cells = _digits._repr_cells(np.array(values)).view(np.uint8).reshape(len(values), -1)
+    assert [c.tobytes().replace(b"\0", b"").decode() for c in cells] == [repr(x) for x in values]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy
 from click.testing import CliRunner
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.linalg import lapack, solve_triangular
@@ -29,7 +29,9 @@ from shiftop.wiener import ONE, ZERO, WienerElement
 
 from oracles import (
     ANALYZE_ROOT_CLASSES,
+    NEAR_CIRCLE_ROOT_CLASSES,
     dense_inverse_norm,
+    doubling_series_inverse,
     prefix_bound_oracle,
     series_inverse_oracle,
     wide_log10,
@@ -231,7 +233,8 @@ def test_prefix_bound_matches_exact_rational_oracle():
         coeffs = np.real(from_roots(roots).to_array()) * 10 ** rng.uniform(-2, 2)
         eps = 10 ** rng.uniform(-12, -4)
         r = invert_causal(WienerElement(tuple(coeffs)), eps=eps)
-        floats = inv._prefix_bounds(coeffs.astype(complex), r.inverse.to_array(), 1)
+        norms = inv._prefix_norms(coeffs.astype(complex), r.inverse.to_array(), 1)
+        floats = inv._prefix_bounds(*norms)
         for length, bound in enumerate(floats, start=1):
             exact = prefix_bound_oracle(coeffs, length)
             if exact is None:
@@ -267,6 +270,56 @@ def test_certified_length_does_not_depend_on_the_growth_schedule(monkeypatch, fi
     monkeypatch.setattr(inv, "_FIRST_PREFIX", first)
     assert [_inversion_outcome(invert, f, **kw) for invert, f, kw in cases] == expected
     assert isinstance(expected[0][0], int) and isinstance(expected[-1][0], str)
+
+
+def _schedule_outcome(series_inverse, f, max_len, eps):
+    """``(length, bound bits, coefficient bytes)``, or the error's message, bound bits and cap."""
+    try:
+        r = series_inverse(f, max_len, eps)
+    except TailNotCertifiedError as exc:
+        return str(exc), exc.achieved_bound.hex(), exc.max_len
+    return r.truncation_len, r.tail_bound.hex(), r.inverse.offset, r.inverse.to_array().tobytes()
+
+
+@pytest.mark.parametrize("max_len", [1, 7, 63, 64, 65, 1000, 20000, inv.DEFAULT_MAX_LEN])
+@seed(27)
+@settings(max_examples=30, deadline=None)
+@given(
+    distances=st.lists(st.floats(-4.0, math.log10(2.0)), min_size=1, max_size=8),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=8, max_size=8),
+    log_eps=st.floats(-13.0, -6.0),
+)
+def test_predicted_prefixes_match_the_doubling_schedule(max_len, distances, angles, log_eps):
+    # roots 1e-4 to 2 outside the circle: the predicted prefix lengths
+    # certify the same L, bound and coefficients as solving at 64, 128, ...,
+    # and an uncertified tail fails with the same message, bound and cap
+    f = from_roots([polar(1 + 10**d, t) for d, t in zip(distances, angles)])
+    eps = 10**log_eps
+    got = _schedule_outcome(inv._series_inverse, f, max_len, eps)
+    assert got == _schedule_outcome(doubling_series_inverse, f, max_len, eps)
+
+
+@pytest.mark.parametrize("name", list(NEAR_CIRCLE_ROOT_CLASSES))
+def test_near_circle_inversions_solve_few_coefficients(monkeypatch, name):
+    # the coefficients solved over all prefixes of one inversion: at most 2 L
+    # for a certified length L (solving at 64, 128, ... took 2.2 L to 3.5 L),
+    # and at most 1.25 times the cap for an uncertified tail (it took 131008)
+    solve, lengths = inv._series_inverse_prefix, []
+
+    def counted(coeffs, length):
+        lengths.append(length)
+        return solve(coeffs, length)
+
+    monkeypatch.setattr(inv, "_series_inverse_prefix", counted)
+    f = NEAR_CIRCLE_ROOT_CLASSES[name]
+    invert = invert_anticausal if name.startswith("anticausal") else invert_causal
+    if name.startswith("uncertified"):
+        with pytest.raises(TailNotCertifiedError):
+            invert(f)
+        assert sum(lengths) <= 1.25 * inv.DEFAULT_MAX_LEN
+    else:
+        length = invert(f).truncation_len
+        assert sum(lengths) <= 2 * length
 
 
 @pytest.mark.parametrize("max_len", [50, 200, inv.DEFAULT_MAX_LEN])

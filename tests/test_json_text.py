@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import json_text_oracle
+from oracles import NEAR_CIRCLE_ROOT_CLASSES, json_text_oracle
 from shiftop import cli, wiener
 from shiftop.cli import main
 from shiftop.invertibility import WideFloat
@@ -36,14 +36,15 @@ EDGE_DOCUMENTS = {
 @pytest.mark.parametrize("name", EDGE_DOCUMENTS)
 def test_writer_matches_oracle_on_edge_cases(name):
     document = EDGE_DOCUMENTS[name]
-    assert cli._json_text(document) == json_text_oracle(document)
+    assert cli._json_text(document) == json_text_oracle(document).encode()
 
 
 def test_writer_matches_json_dumps_on_plain_documents():
     # no WideFloat and no array: the stdlib alone is the reference, strings
     # starting with NUL (the oracle's placeholder) included
     for document in ({"a": [1, {"b": None}], "c": "\0x"}, [], {}, "s", 3, -0.0, [[[]]]):
-        assert cli._json_text(document) == json.dumps(document, indent=2, allow_nan=False) + "\n"
+        expected = json.dumps(document, indent=2, allow_nan=False) + "\n"
+        assert cli._json_text(document) == expected.encode()
 
 
 @pytest.mark.parametrize(
@@ -95,7 +96,7 @@ documents = st.recursive(
 @settings(max_examples=300, deadline=None)
 @given(documents)
 def test_writer_matches_oracle_property(document):
-    assert cli._json_text(document) == json_text_oracle(document)
+    assert cli._json_text(document) == json_text_oracle(document).encode()
 
 
 # -- float arrays: the array formatter against repr -----------------------------
@@ -134,14 +135,14 @@ def test_array_floats_match_repr(name):
     if len(floats) % 2:
         floats = np.append(floats, 1.5)
     document = {"deep": [{"coeffs": floats.view(complex)}]}
-    assert cli._json_text(document) == json_text_oracle(document)
+    assert cli._json_text(document) == json_text_oracle(document).encode()
 
 
 @pytest.mark.parametrize("length", [cli._PAIR_BLOCK - 1, cli._PAIR_BLOCK, cli._PAIR_BLOCK + 1])
 def test_array_block_edges(length):
     values = np.random.default_rng(length).standard_normal(2 * length).view(complex)
     for document in (values, {"a": [values, {"b": values[:3]}]}):
-        assert cli._json_text(document) == json_text_oracle(document)
+        assert cli._json_text(document) == json_text_oracle(document).encode()
 
 
 @settings(max_examples=15, deadline=None)
@@ -157,7 +158,7 @@ def test_array_bit_patterns_match_oracle_property(seed, length, drawn):
     floats[~np.isfinite(floats)] = 0.0
     floats[: len(drawn)] = drawn
     document = {"coeffs": floats.view(complex)}
-    assert cli._json_text(document) == json_text_oracle(document)
+    assert cli._json_text(document) == json_text_oracle(document).encode()
 
 
 def test_array_writer_memory_is_bounded():
@@ -176,6 +177,9 @@ def test_array_writer_memory_is_bounded():
 
 # -- every document the commands write ------------------------------------------
 
+# stands in for a --coeffs-file holding near_circle's complex causal_d2 symbol
+NEAR_CIRCLE_D2_FILE = "near_circle_d2.json"
+
 COMMANDS = [
     ["analyze", "--coeffs", "-2.5", "--dims", "4"],  # a constant: no roots
     ["analyze", "--coeffs", "1,-2"],  # anticausal inverse block
@@ -189,6 +193,8 @@ COMMANDS = [
     ["invert", "--coeffs", "1,-0.5"],
     ["invert", "--coeffs", "1,-3,2.5"],  # complex roots inside: anticausal
     ["invert", "--coeffs", "1,-0.999"],
+    # complex coefficients; its 9757 inverse coefficients span five _PAIR_BLOCKs
+    ["invert", "--coeffs-file", NEAR_CIRCLE_D2_FILE],
     ["simulate", "--coeffs", "1,0.5", "--T", "300"],
     ["simulate", "--coeffs", "1,-2", "--T", "300"],
     ["simulate", "--coeffs", "1,-1", "--T", "300"],
@@ -207,13 +213,17 @@ def test_commands_write_what_the_oracle_writes(argv, tmp_path, monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "_json_text", recording)
-    result = CliRunner().invoke(main, [*argv, "--out", str(tmp_path)])
+    symbol = tmp_path / NEAR_CIRCLE_D2_FILE
+    symbol.write_text(json.dumps(wiener.to_json_dict(NEAR_CIRCLE_ROOT_CLASSES["causal_d2"])))
+    argv = [str(symbol) if arg == NEAR_CIRCLE_D2_FILE else arg for arg in argv]
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [*argv, "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert len(written) == 1
     document, text = written[0]
-    assert text == json_text_oracle(document)
-    (path,) = tmp_path.glob("*.json")
-    assert path.read_text() == text
+    assert text == json_text_oracle(document).encode()
+    (path,) = out.glob("*.json")
+    assert path.read_bytes() == text
 
 
 def test_coeffs_file_symbol_with_offset_and_imaginary_parts(tmp_path, monkeypatch):
@@ -229,4 +239,4 @@ def test_coeffs_file_symbol_with_offset_and_imaginary_parts(tmp_path, monkeypatc
         assert result.exit_code == 0, result.output
     assert len(written) == 2
     for document in written:
-        assert writer(document) == json_text_oracle(document)
+        assert writer(document) == json_text_oracle(document).encode()

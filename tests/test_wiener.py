@@ -325,7 +325,7 @@ def test_save_rejects_non_finite_coefficients():
 def test_file_round_trip(tmp_path):
     f = WienerElement((0.1, 0.2 - 0.7j), offset=3)
     path = tmp_path / "coeffs.json"
-    path.write_text(cli._json_text(wiener.to_json_dict(f)))
+    path.write_bytes(cli._json_text(wiener.to_json_dict(f)))
     data = json.loads(path.read_text())
     assert set(data) == {"offset", "coeffs"}
     assert wiener.load_coefficients(path) == f
